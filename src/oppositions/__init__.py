@@ -15,10 +15,8 @@ from .formula import (
     UNIVERSAL_ONLY,
     EXISTENTIAL_ONLY,
     REPRESENTATIONS,
-    PRESETS,
     Atom,
     And,
-    DecorationPreset,
     Implies,
     MAnd,
     MImplies,
@@ -33,7 +31,6 @@ from .formula import (
     make_categorical,
     print_sentence,
     sentence_predicates,
-    sentence_vocabulary,
 )
 from .parser import Corpus, ParseError, parse_corpus, parse_sentence
 from .graph import (
@@ -67,24 +64,20 @@ from .segment import (
     A_HIGH,
     A_LOW,
     AssignmentError,
+    CLAUSES,
     ClauseSystem,
-    DistinctObjects,
     Mismatch,
     Polarity,
     Role,
     SegmentAssignment,
     ShapeError,
     VerificationReport,
+    clause_matches,
     contrary_triple,
     decode_graph,
-    distinct_objects,
     extend_hexagon,
-    hexagon_clause_matches,
-    hexagon_relation,
     infer_role,
     make_square_assignment,
-    square_clause_matches,
-    square_relation,
     subcontrary_triple,
     synthesize,
     verify_against,

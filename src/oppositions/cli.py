@@ -5,9 +5,9 @@ Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``synthesize`` encodings for a corpus by exhaustive search.
 
 Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
-result); 2 parse or input error; 3 vocabulary mismatch; 4 corpus shape
-not a categorical square or hexagon; 5 verification mismatch.  Stdout
-carries only payload; diagnostics go to stderr.
+result); 2 parse or input error; 3 vocabulary mismatch; 4 a corpus or
+roles of a shape the command or its clauses cannot take; 5 verification
+mismatch.  Stdout carries only payload; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .segment import (
     ClauseSystem,
     Role,
     SegmentAssignment,
+    ShapeError,
     UNIVERSAL_MAPS,
     decode_graph,
     extend_hexagon,
@@ -340,6 +341,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except ShapeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_SHAPE
 
 
 if __name__ == "__main__":

@@ -149,10 +149,6 @@ def sentence_predicates(s: Sentence) -> tuple[str, ...]:
     raise TypeError(f"not a sentence: {s!r}")
 
 
-def sentence_vocabulary(s: Sentence) -> Vocabulary:
-    return Vocabulary(sentence_predicates(s))
-
-
 def make_categorical(form: str, predicate: str, representation: str = MIXED) -> Sentence:
     """Build one of the six categorical forms over a unary predicate.
 
@@ -249,42 +245,3 @@ def _print_sentence(s: Sentence, floor: int) -> str:
 def print_sentence(s: Sentence) -> str:
     """Render a sentence in the concrete syntax accepted by the parser."""
     return _print_sentence(s, 0)
-
-
-# --- decoration presets ---
-
-
-@dataclass(frozen=True)
-class DecorationPreset:
-    """Surface vocabulary for a categorical-like concept family.
-
-    Each preset names an operator pair whose universal-flavored member
-    translates to the universal quantifier and whose existential-flavored
-    member translates to the existential quantifier.
-    """
-
-    name: str
-    universal: str
-    existential: str
-
-    def quantifier_for(self, operator: str) -> str:
-        if operator == self.universal:
-            return FORALL
-        if operator == self.existential:
-            return EXISTS
-        raise ValueError(f"preset {self.name!r} has no operator {operator!r}")
-
-    def forms(self, predicate: str, representation: str = MIXED) -> dict[str, Sentence]:
-        """The six categorical-like forms of this family over a predicate."""
-        return {f: make_categorical(f, predicate, representation) for f in FORMS}
-
-
-PRESETS = {
-    p.name: p
-    for p in (
-        DecorationPreset("categorical", "every", "some"),
-        DecorationPreset("alethic", "necessarily", "possibly"),
-        DecorationPreset("deontic", "obligatory", "permitted"),
-        DecorationPreset("temporal", "always", "sometimes"),
-    )
-}

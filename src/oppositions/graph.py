@@ -65,6 +65,14 @@ class Relation:
             return f"subaltern({self.source}->{self.target})"
         return self.kind.value
 
+    def entry(self) -> dict[str, str]:
+        """The relation's fields in structured documents."""
+        entry = {"relation": self.kind.value}
+        if self.kind is RelationKind.SUBALTERN:
+            entry["from"] = self.source
+            entry["to"] = self.target
+        return entry
+
 
 CONTRADICTORY = Relation(RelationKind.CONTRADICTORY)
 CONTRARY = Relation(RelationKind.CONTRARY)
@@ -115,13 +123,7 @@ class OppositionGraph:
         return counts
 
     def to_document(self) -> dict[str, Any]:
-        pairs = []
-        for a, b, relation in self.pairs():
-            entry: dict[str, Any] = {"a": a, "b": b, "relation": relation.kind.value}
-            if relation.kind is RelationKind.SUBALTERN:
-                entry["from"] = relation.source
-                entry["to"] = relation.target
-            pairs.append(entry)
+        pairs = [{"a": a, "b": b, **relation.entry()} for a, b, relation in self.pairs()]
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "opposition_graph",

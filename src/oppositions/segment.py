@@ -6,32 +6,31 @@ kind: universal statements and disjunctions sit on the positive side,
 existential statements and conjunctions on the negative side.  Relations
 are then decoded from sign, sum-to-zero, and order conditions alone.
 
-Two clause systems exist.  The square system decides every pair by
-contradiction (sum zero), contrariety (both positive), subcontrariety
-(both negative), and subalternation (toward the negative member).  The
-hexagon system replaces the sign rules for contrariety and
-subcontrariety with zero-sum triples completed by a distinct object, and
-extends subalternation with an order rule for same-signed pairs.  In
-both systems the clauses apply in a fixed order -- contradiction,
-contrariety, subcontrariety, subalternation -- and the first match wins,
-so every pair receives exactly one relation.
+Two clause systems exist, each one ordered table of rows in ``CLAUSES``.
+The square system decides every pair by contradiction (sum zero),
+contrariety (both positive), subcontrariety (both negative), and
+subalternation (toward the negative member).  The hexagon system
+replaces the sign rows for contrariety and subcontrariety with zero-sum
+triples completed by a distinct object, and puts an order row for
+same-signed pairs before the square's subalternation row.  Decoding
+takes the first relation fired, so every pair receives exactly one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
-from .formula import EXISTS, FORALL, Sentence, And, Not, Or, Quantified
+from .formula import FORALL, Sentence, And, Not, Or, Quantified
 from .graph import (
     CONTRADICTORY,
     CONTRARY,
     SUBCONTRARY,
     OppositionGraph,
     Relation,
-    RelationKind,
     SCHEMA_VERSION,
     graph_equal,
     subaltern,
@@ -148,18 +147,6 @@ class SegmentAssignment:
         }
 
 
-@dataclass(frozen=True)
-class DistinctObjects:
-    """The two sum values completing the hexagon's zero-sum triples."""
-
-    positive: int
-    negative: int
-
-    def __post_init__(self) -> None:
-        if self.positive <= 0 or self.negative >= 0 or self.positive != -self.negative:
-            raise AssignmentError("distinct objects must be a positive/negative mirror pair")
-
-
 def make_square_assignment(
     q: int,
     r: int,
@@ -215,45 +202,7 @@ def extend_hexagon(
     return SegmentAssignment(labels, values, roles)
 
 
-def distinct_objects(e: SegmentAssignment) -> DistinctObjects:
-    """The distinct-object values of a hexagon assignment."""
-    disjunctions = e.labels_with_role(Role.DISJUNCTION)
-    conjunctions = e.labels_with_role(Role.CONJUNCTION)
-    if len(disjunctions) != 1 or len(conjunctions) != 1:
-        raise ShapeError("expected exactly one disjunction and one conjunction label")
-    return DistinctObjects(e.value(disjunctions[0]), e.value(conjunctions[0]))
-
-
-# --- square clause system ---
-
-
-def square_clause_matches(e: SegmentAssignment, a: str, b: str) -> tuple[Relation, ...]:
-    """Every square clause that fires for the pair, in clause order,
-    without precedence.  Same-signed pairs make the subalternation clause
-    fire alongside contrariety or subcontrariety (in both directions when
-    both values are negative); precedence exists to suppress that."""
-    if a == b:
-        raise AssignmentError("relations hold between distinct labels")
-    va, vb = e.value(a), e.value(b)
-    matches: list[Relation] = []
-    if va + vb == 0:
-        matches.append(CONTRADICTORY)
-    if va > 0 and vb > 0:
-        matches.append(CONTRARY)
-    if va < 0 and vb < 0:
-        matches.append(SUBCONTRARY)
-    for sup, sub in ((a, b), (b, a)):
-        if e.value(sub) < 0 and e.value(sub) != -e.value(sup):
-            matches.append(subaltern(sup, sub))
-    return tuple(matches)
-
-
-def square_relation(e: SegmentAssignment, a: str, b: str) -> Relation:
-    """Decode one pair under the square clauses with precedence."""
-    return square_clause_matches(e, a, b)[0]
-
-
-# --- hexagon clause system ---
+# --- the clause tables ---
 
 
 def _zero_sum_triple(e: SegmentAssignment, member_role: Role, completing: Role) -> frozenset:
@@ -276,88 +225,99 @@ def subcontrary_triple(e: SegmentAssignment) -> frozenset:
     return _zero_sum_triple(e, Role.EXISTENTIAL, Role.DISJUNCTION)
 
 
-def _ordered_subaltern(e: SegmentAssignment, a: str, b: str) -> Relation:
-    # mixed signs: the negative member is the subaltern; same sign: the
-    # greater value is the subaltern
-    va, vb = e.value(a), e.value(b)
+Triples = tuple[frozenset, frozenset]  # the contrary, then the subcontrary triple
+Fired = tuple[Relation, ...]
+# One table row: from a pair's labels and values and the assignment's
+# triples, the relations the row fires for the pair, in either direction.
+Clause = Callable[[str, int, str, int, Triples], Fired]
+Rows = tuple[Clause, ...]
+
+
+def _sum_zero(a: str, va: int, b: str, vb: int, t: Triples) -> Fired:
+    return (CONTRADICTORY,) if va + vb == 0 else ()
+
+
+def _subaltern_by_order(a: str, va: int, b: str, vb: int, t: Triples) -> Fired:
+    # same sign: the greater value is the subaltern
     if (va > 0) != (vb > 0):
-        return subaltern(a, b) if va > 0 else subaltern(b, a)
-    return subaltern(a, b) if va < vb else subaltern(b, a)
+        return ()
+    return (subaltern(a, b),) if vb > va else (subaltern(b, a),)
 
 
-def hexagon_clause_matches(e: SegmentAssignment, a: str, b: str) -> tuple[Relation, ...]:
-    """Every hexagon clause that fires for the pair, without precedence.
-
-    The subalternation clause is reported as written, so for same-signed
-    pairs it can fire in both directions; the precedence decoder resolves
-    the direction by the order rule.
-    """
-    if a == b:
-        raise AssignmentError("relations hold between distinct labels")
-    va, vb = e.value(a), e.value(b)
-    matches: list[Relation] = []
+def _subaltern_toward_negative(a: str, va: int, b: str, vb: int, t: Triples) -> Fired:
     if va + vb == 0:
-        matches.append(CONTRADICTORY)
-    if {a, b} <= contrary_triple(e):
-        matches.append(CONTRARY)
-    if {a, b} <= subcontrary_triple(e):
-        matches.append(SUBCONTRARY)
-    for sup, sub in ((a, b), (b, a)):
-        vsup, vsub = e.value(sup), e.value(sub)
-        if vsub == -vsup:
-            continue
-        if vsub < 0 or (vsub > vsup and (vsup > 0) == (vsub > 0)):
-            matches.append(subaltern(sup, sub))
-    return tuple(matches)
+        return ()
+    toward_b = (subaltern(a, b),) if vb < 0 else ()
+    return toward_b + (subaltern(b, a),) if va < 0 else toward_b
 
 
-def hexagon_relation(e: SegmentAssignment, a: str, b: str) -> Relation:
-    """Decode one pair under the hexagon clauses with precedence."""
-    if a == b:
-        raise AssignmentError("relations hold between distinct labels")
-    if e.value(a) + e.value(b) == 0:
-        return CONTRADICTORY
-    if {a, b} <= contrary_triple(e):
-        return CONTRARY
-    if {a, b} <= subcontrary_triple(e):
-        return SUBCONTRARY
-    return _ordered_subaltern(e, a, b)
-
-
-_HEXAGON_ROLE_COUNTS = {
-    Role.UNIVERSAL: 2,
-    Role.EXISTENTIAL: 2,
-    Role.DISJUNCTION: 1,
-    Role.CONJUNCTION: 1,
+# Rows in precedence order; each table ends in rows that fire for every
+# pair the earlier rows leave over.
+CLAUSES: dict[ClauseSystem, Rows] = {
+    ClauseSystem.SQUARE: (
+        _sum_zero,
+        lambda a, va, b, vb, t: (CONTRARY,) if va > 0 and vb > 0 else (),
+        lambda a, va, b, vb, t: (SUBCONTRARY,) if va < 0 and vb < 0 else (),
+        _subaltern_toward_negative,
+    ),
+    ClauseSystem.HEXAGON: (
+        _sum_zero,
+        lambda a, va, b, vb, t: (CONTRARY,) if a in t[0] and b in t[0] else (),
+        lambda a, va, b, vb, t: (SUBCONTRARY,) if a in t[1] and b in t[1] else (),
+        _subaltern_by_order,
+        _subaltern_toward_negative,
+    ),
 }
 
+_HEXAGON_ROLE_COUNTS = Counter(
+    {Role.UNIVERSAL: 2, Role.EXISTENTIAL: 2, Role.DISJUNCTION: 1, Role.CONJUNCTION: 1}
+)
 
-def _is_hexagon_shaped(e: SegmentAssignment) -> bool:
-    return all(
-        len(e.labels_with_role(role)) == count
-        for role, count in _HEXAGON_ROLE_COUNTS.items()
-    )
+
+def _check_shape(roles: Mapping[str, Role], cs: ClauseSystem) -> None:
+    """Raise ShapeError unless the clause system can decode assignments
+    with these roles: a symmetric support needs as many positive as
+    negative labels, and the hexagon rows need the hexagon's six roles."""
+    counts = Counter(roles.values())
+    positives = sum(n for r, n in counts.items() if role_polarity(r) is Polarity.POSITIVE)
+    if 2 * positives != len(roles):
+        raise ShapeError("a symmetric support needs as many positive as negative labels")
+    if cs is ClauseSystem.HEXAGON and counts != _HEXAGON_ROLE_COUNTS:
+        raise ShapeError(
+            "hexagon clauses need two universal and two existential labels "
+            "plus one disjunction and one conjunction"
+        )
+
+
+def _rows_and_triples(e: SegmentAssignment, cs: ClauseSystem) -> tuple[Rows, Triples]:
+    _check_shape(e.roles, cs)
+    return CLAUSES[cs], (contrary_triple(e), subcontrary_triple(e))
+
+
+def clause_matches(e: SegmentAssignment, cs: ClauseSystem, a: str, b: str) -> Fired:
+    """Every relation the rows of ``CLAUSES[cs]`` fire for the pair, in
+    table order and without precedence, so a subalternation row can
+    appear alongside contrariety or subcontrariety."""
+    if a == b:
+        raise AssignmentError("relations hold between distinct labels")
+    rows, triples = _rows_and_triples(e, cs)
+    va, vb = e.value(a), e.value(b)
+    return tuple(relation for row in rows for relation in row(a, va, b, vb, triples))
 
 
 def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
-    """Decode every unordered pair of the assignment into a full graph.
-
-    The square clauses read only signs and sums, so they apply to an
-    assignment of any size; the hexagon clauses need the two distinct
-    objects and therefore require the six-label hexagon shape.
-    """
-    if cs is ClauseSystem.HEXAGON:
-        if not _is_hexagon_shaped(e):
-            raise ShapeError(
-                "hexagon clauses need two universal and two existential labels "
-                "plus one disjunction and one conjunction"
-            )
-        decide = hexagon_relation
-    else:
-        decide = square_relation
-    edges = {
-        frozenset((a, b)): decide(e, a, b) for a, b in combinations(e.labels, 2)
-    }
+    """Decode every unordered pair to the first relation fired, scanning
+    the rows of ``CLAUSES[cs]`` in order.  The hexagon rows need the two
+    distinct objects, so they require the six-label hexagon shape."""
+    rows, triples = _rows_and_triples(e, cs)
+    edges = {}
+    for a, b in combinations(e.labels, 2):
+        va, vb = e.values[a], e.values[b]
+        for row in rows:
+            fired = row(a, va, b, vb, triples)
+            if fired:
+                edges[frozenset((a, b))] = fired[0]
+                break
     return OppositionGraph(e.labels, edges)
 
 
@@ -383,13 +343,6 @@ class VerificationReport:
         return not self.mismatches
 
     def to_document(self) -> dict:
-        def relation_entry(relation: Relation) -> dict:
-            entry = {"relation": relation.kind.value}
-            if relation.kind is RelationKind.SUBALTERN:
-                entry["from"] = relation.source
-                entry["to"] = relation.target
-            return entry
-
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "verification_report",
@@ -398,8 +351,8 @@ class VerificationReport:
                 {
                     "a": m.a,
                     "b": m.b,
-                    "decoded": relation_entry(m.decoded),
-                    "semantic": relation_entry(m.semantic),
+                    "decoded": m.decoded.entry(),
+                    "semantic": m.semantic.entry(),
                 }
                 for m in self.mismatches
             ],
@@ -436,7 +389,8 @@ def synthesize(
     integers within the magnitude bound, over symmetric supports, with
     each label's polarity fixed by its role; hexagon candidates must
     additionally give each distinct object the sum of its components.
-    An empty result is a proof that no encoding exists at this bound.
+    An empty result is a proof that no encoding exists at this bound;
+    roles that admit no candidate at all raise ShapeError instead.
     Results come in a canonical order: supports by ascending magnitude
     tuple, then positive and negative value rows lexicographically.
     """
@@ -445,46 +399,34 @@ def synthesize(
     labels = target.nodes
     if set(roles) != set(labels):
         raise ValueError("roles must cover exactly the target labels")
+    _check_shape(roles, cs)
     positive_labels = tuple(
         l for l in labels if role_polarity(roles[l]) is Polarity.POSITIVE
     )
     negative_labels = tuple(
         l for l in labels if role_polarity(roles[l]) is Polarity.NEGATIVE
     )
-    half = len(labels) // 2
-    if len(positive_labels) != half or len(negative_labels) != half or len(labels) % 2:
-        return []
+    sums = ()  # each distinct object with the labels it must be the sum of
     if cs is ClauseSystem.HEXAGON:
-        counts = {role: 0 for role in Role}
-        for role in roles.values():
-            counts[role] += 1
-        if counts != _HEXAGON_ROLE_COUNTS:
-            return []
+        with_role = {role: [l for l in labels if roles[l] is role] for role in Role}
+        sums = (
+            (with_role[Role.DISJUNCTION][0], with_role[Role.UNIVERSAL]),
+            (with_role[Role.CONJUNCTION][0], with_role[Role.EXISTENTIAL]),
+        )
 
     found: list[SegmentAssignment] = []
-    for magnitudes in combinations(range(1, magnitude_bound + 1), half):
+    for magnitudes in combinations(range(1, magnitude_bound + 1), len(positive_labels)):
         negatives = sorted(-m for m in magnitudes)
         for positive_row in permutations(magnitudes):
             for negative_row in permutations(negatives):
                 values = dict(zip(positive_labels, positive_row))
                 values.update(zip(negative_labels, negative_row))
-                if cs is ClauseSystem.HEXAGON and not _distinct_object_sums_hold(
-                    values, roles
-                ):
+                if any(values[d] != sum(values[l] for l in of) for d, of in sums):
                     continue
                 candidate = SegmentAssignment(labels, values, dict(roles))
                 if graph_equal(decode_graph(candidate, cs), target):
                     found.append(candidate)
     return found
-
-
-def _distinct_object_sums_hold(values: Mapping[str, int], roles: Mapping[str, Role]) -> bool:
-    by_role: dict[Role, list[int]] = {role: [] for role in Role}
-    for label, value in values.items():
-        by_role[roles[label]].append(value)
-    return by_role[Role.DISJUNCTION] == [sum(by_role[Role.UNIVERSAL])] and by_role[
-        Role.CONJUNCTION
-    ] == [sum(by_role[Role.EXISTENTIAL])]
 
 
 def infer_role(s: Sentence) -> Role | None:

@@ -20,13 +20,12 @@ from oppositions import (
     SegmentAssignment,
     build_graph,
     classify,
+    clause_matches,
     decode_graph,
     extend_hexagon,
     graph_equal,
     make_categorical,
     make_square_assignment,
-    square_clause_matches,
-    square_relation,
     subaltern,
     synthesize,
     verify_against,
@@ -123,9 +122,9 @@ def test_criterion_4_hexagon_negative_result(oracle_hexagon):
 
 def test_criterion_5_precedence_regression():
     assignment = make_square_assignment(1, 2, A_LOW)
-    raw = square_clause_matches(assignment, "I", "O")
+    raw = clause_matches(assignment, SQUARE, "I", "O")
     assert any(relation.kind is RelationKind.SUBALTERN for relation in raw)
-    assert square_relation(assignment, "I", "O") == SUBCONTRARY
+    assert decode_graph(assignment, SQUARE).relation("I", "O") == SUBCONTRARY
 
 
 def test_criterion_6_representation_invariance():

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oppositions
 from oppositions.cli import main
 from conftest import HEXAGON_CORPUS, SQUARE_CORPUS
 
@@ -248,6 +253,33 @@ class TestSynthesize:
         code, _, err = run(capsys, "synthesize", "--corpus", str(path))
         assert code == 4
         assert "polarity role" in err
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize(
+        "corpus,argv",
+        [
+            (SQUARE_CORPUS, ("synthesize", "--clauses", "hexagon", "--magnitude", "3")),
+            ("A: A[P]\nE: E[P]\nI: I[P]", ("synthesize", "--magnitude", "3")),
+            (SQUARE_CORPUS, ("encode", "--clauses", "hexagon")),
+        ],
+        ids=["hexagon-clauses-on-square", "unbalanced-polarities", "encode-hexagon-clauses"],
+    )
+    def test_exit_four_without_traceback(self, tmp_path, corpus, argv):
+        # a child process, so an uncaught exception would show its traceback
+        path = tmp_path / "shape.corpus"
+        path.write_text(corpus + "\n", encoding="utf-8")
+        src = str(Path(oppositions.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "oppositions", *argv, "--corpus", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 class TestDeterminism:

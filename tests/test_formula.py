@@ -3,9 +3,7 @@ import pytest
 from oppositions import (
     EXISTS,
     FORALL,
-    FORMS,
     MIXED,
-    PRESETS,
     REPRESENTATIONS,
     UNIVERSAL_ONLY,
     EXISTENTIAL_ONLY,
@@ -106,20 +104,3 @@ class TestVocabulary:
     def test_predicate_order_is_first_occurrence(self):
         s = And(make_categorical("A", "Q"), make_categorical("I", "P"))
         assert sentence_predicates(s) == ("Q", "P")
-
-
-class TestPresets:
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_universal_flavored_operator_maps_to_forall(self, name):
-        preset = PRESETS[name]
-        assert preset.quantifier_for(preset.universal) == FORALL
-        assert preset.quantifier_for(preset.existential) == EXISTS
-
-    def test_unknown_operator(self):
-        with pytest.raises(ValueError):
-            PRESETS["alethic"].quantifier_for("probably")
-
-    def test_forms_cover_all_six(self):
-        forms = PRESETS["deontic"].forms("P")
-        assert set(forms) == set(FORMS)
-        assert forms["A"] == make_categorical("A", "P")

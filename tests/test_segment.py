@@ -7,27 +7,25 @@ from hypothesis import strategies as st
 from oppositions import (
     A_HIGH,
     A_LOW,
+    CONTRADICTORY,
+    CONTRARY,
+    SUBCONTRARY,
     AssignmentError,
     ClauseSystem,
-    DistinctObjects,
     RelationKind,
     Role,
     SegmentAssignment,
     ShapeError,
     build_graph,
+    clause_matches,
     contrary_triple,
     decode_graph,
-    distinct_objects,
     extend_hexagon,
     graph_equal,
-    hexagon_clause_matches,
-    hexagon_relation,
     infer_role,
     make_square_assignment,
     parse_corpus,
     parse_sentence,
-    square_clause_matches,
-    square_relation,
     subaltern,
     subcontrary_triple,
     synthesize,
@@ -124,31 +122,35 @@ class TestAssignmentValidation:
 
 class TestSquareClauses:
     def test_contradictory_sum_zero(self, worked_square):
-        assert square_relation(worked_square, "A", "O").kind is RelationKind.CONTRADICTORY
-        assert square_relation(worked_square, "E", "I").kind is RelationKind.CONTRADICTORY
+        square = decode_graph(worked_square, SQUARE)
+        assert square.relation("A", "O").kind is RelationKind.CONTRADICTORY
+        assert square.relation("E", "I").kind is RelationKind.CONTRADICTORY
 
     def test_contrary_and_subcontrary(self, worked_square):
-        assert square_relation(worked_square, "A", "E").kind is RelationKind.CONTRARY
-        assert square_relation(worked_square, "I", "O").kind is RelationKind.SUBCONTRARY
+        square = decode_graph(worked_square, SQUARE)
+        assert square.relation("A", "E").kind is RelationKind.CONTRARY
+        assert square.relation("I", "O").kind is RelationKind.SUBCONTRARY
 
     def test_subaltern_toward_negative(self, worked_square):
-        assert square_relation(worked_square, "A", "I") == subaltern("A", "I")
-        assert square_relation(worked_square, "I", "A") == subaltern("A", "I")
-        assert square_relation(worked_square, "E", "O") == subaltern("E", "O")
+        square = decode_graph(worked_square, SQUARE)
+        assert square.relation("A", "I") == subaltern("A", "I")
+        assert square.relation("I", "A") == subaltern("A", "I")
+        assert square.relation("E", "O") == subaltern("E", "O")
 
     def test_same_label_rejected(self, worked_square):
         with pytest.raises(AssignmentError):
-            square_relation(worked_square, "A", "A")
+            clause_matches(worked_square, SQUARE, "A", "A")
 
     def test_precedence_suppresses_subaltern_on_subcontrary_pair(self, worked_square):
-        raw = square_clause_matches(worked_square, "I", "O")
+        square = decode_graph(worked_square, SQUARE)
+        raw = clause_matches(worked_square, SQUARE, "I", "O")
         kinds = [relation.kind for relation in raw]
         assert RelationKind.SUBCONTRARY in kinds
         assert RelationKind.SUBALTERN in kinds  # clause 4 over-fires without precedence
-        assert square_relation(worked_square, "I", "O").kind is RelationKind.SUBCONTRARY
+        assert square.relation("I", "O").kind is RelationKind.SUBCONTRARY
 
     def test_mixed_pair_has_single_raw_match(self, worked_square):
-        raw = square_clause_matches(worked_square, "A", "I")
+        raw = clause_matches(worked_square, SQUARE, "A", "I")
         assert raw == (subaltern("A", "I"),)
 
 
@@ -185,46 +187,37 @@ class TestExtendHexagon:
         assert h.support() == (-(q + r), -r, -q, q, r, q + r)
 
 
-class TestDistinctObjects:
-    def test_accessor(self, worked_hexagon):
-        objects = distinct_objects(worked_hexagon)
-        assert objects == DistinctObjects(3, -3)
-
-    def test_mirror_invariant(self):
-        with pytest.raises(AssignmentError):
-            DistinctObjects(3, -2)
-
-    def test_requires_hexagon_shape(self, worked_square):
-        with pytest.raises(ShapeError):
-            distinct_objects(worked_square)
-
-
 class TestHexagonClauses:
     def test_distinct_objects_contradictory(self, worked_hexagon):
-        assert hexagon_relation(worked_hexagon, "U", "Y").kind is RelationKind.CONTRADICTORY
+        hexagon = decode_graph(worked_hexagon, HEXAGON)
+        assert hexagon.relation("U", "Y").kind is RelationKind.CONTRADICTORY
 
     def test_triples(self, worked_hexagon):
         assert contrary_triple(worked_hexagon) == frozenset({"A", "E", "Y"})
         assert subcontrary_triple(worked_hexagon) == frozenset({"I", "O", "U"})
 
     def test_contrary_pairs_inside_triple(self, worked_hexagon):
+        hexagon = decode_graph(worked_hexagon, HEXAGON)
         for pair in (("A", "E"), ("A", "Y"), ("E", "Y")):
-            assert hexagon_relation(worked_hexagon, *pair).kind is RelationKind.CONTRARY
+            assert hexagon.relation(*pair).kind is RelationKind.CONTRARY
 
     def test_subcontrary_pairs_inside_triple(self, worked_hexagon):
+        hexagon = decode_graph(worked_hexagon, HEXAGON)
         for pair in (("I", "O"), ("I", "U"), ("O", "U")):
-            assert hexagon_relation(worked_hexagon, *pair).kind is RelationKind.SUBCONTRARY
+            assert hexagon.relation(*pair).kind is RelationKind.SUBCONTRARY
 
     def test_subalternation_order_rule(self, worked_hexagon):
-        assert hexagon_relation(worked_hexagon, "A", "U") == subaltern("A", "U")
-        assert hexagon_relation(worked_hexagon, "Y", "I") == subaltern("Y", "I")
-        assert hexagon_relation(worked_hexagon, "A", "I") == subaltern("A", "I")
+        hexagon = decode_graph(worked_hexagon, HEXAGON)
+        assert hexagon.relation("A", "U") == subaltern("A", "U")
+        assert hexagon.relation("Y", "I") == subaltern("Y", "I")
+        assert hexagon.relation("A", "I") == subaltern("A", "I")
 
     def test_raw_subaltern_fires_both_ways_on_negative_pairs(self, worked_hexagon):
-        raw = hexagon_clause_matches(worked_hexagon, "Y", "I")
+        hexagon = decode_graph(worked_hexagon, HEXAGON)
+        raw = clause_matches(worked_hexagon, HEXAGON, "Y", "I")
         assert subaltern("Y", "I") in raw
         assert subaltern("I", "Y") in raw
-        assert hexagon_relation(worked_hexagon, "Y", "I") == subaltern("Y", "I")
+        assert hexagon.relation("Y", "I") == subaltern("Y", "I")
 
 
 class TestDecodeGraph:
@@ -278,10 +271,10 @@ class TestDecodeGraph:
                 e = make_square_assignment(q, r, universal_map)
                 h = extend_hexagon(e)
                 for a, b in itertools.combinations(e.labels, 2):
-                    assert len(square_clause_matches(e, a, b)) >= 1
+                    assert len(clause_matches(e, SQUARE, a, b)) >= 1
                 for a, b in itertools.combinations(h.labels, 2):
-                    assert len(hexagon_clause_matches(h, a, b)) >= 1
-                    hexagon_relation(h, a, b)
+                    assert len(clause_matches(h, HEXAGON, a, b)) >= 1
+                    decode_graph(h, HEXAGON).relation(a, b)
 
 
 class TestVerifyAgainst:
@@ -354,10 +347,86 @@ class TestSynthesize:
 
     def test_unbalanced_polarities_yield_empty(self, oracle_square):
         roles = dict(SQUARE_ROLES, I=Role.UNIVERSAL)
-        assert synthesize(oracle_square, SQUARE, 4, roles) == []
+        with pytest.raises(ShapeError):
+            synthesize(oracle_square, SQUARE, 4, roles)
 
     def test_hexagon_clauses_need_hexagon_roles(self, oracle_square):
-        assert synthesize(oracle_square, HEXAGON, 3, SQUARE_ROLES) == []
+        with pytest.raises(ShapeError):
+            synthesize(oracle_square, HEXAGON, 3, SQUARE_ROLES)
+
+
+# The precedence decoders as first written, one pair at a time and
+# independent of the clause tables; frozen here as the reference the
+# tables must reproduce.
+
+
+def _reference_square_matches(e, a, b):
+    va, vb = e.value(a), e.value(b)
+    matches = []
+    if va + vb == 0:
+        matches.append(CONTRADICTORY)
+    if va > 0 and vb > 0:
+        matches.append(CONTRARY)
+    if va < 0 and vb < 0:
+        matches.append(SUBCONTRARY)
+    for sup, sub in ((a, b), (b, a)):
+        if e.value(sub) < 0 and e.value(sub) != -e.value(sup):
+            matches.append(subaltern(sup, sub))
+    return tuple(matches)
+
+
+def _reference_square_relation(e, a, b):
+    return _reference_square_matches(e, a, b)[0]
+
+
+def _reference_triple(e, member_role, completing):
+    triple = frozenset(e.labels_with_role(member_role) + e.labels_with_role(completing))
+    if len(triple) == 3 and sum(e.value(label) for label in triple) == 0:
+        return triple
+    return frozenset()
+
+
+def _reference_hexagon_relation(e, a, b):
+    va, vb = e.value(a), e.value(b)
+    if va + vb == 0:
+        return CONTRADICTORY
+    if {a, b} <= _reference_triple(e, Role.UNIVERSAL, Role.CONJUNCTION):
+        return CONTRARY
+    if {a, b} <= _reference_triple(e, Role.EXISTENTIAL, Role.DISJUNCTION):
+        return SUBCONTRARY
+    if (va > 0) != (vb > 0):
+        return subaltern(a, b) if va > 0 else subaltern(b, a)
+    return subaltern(a, b) if va < vb else subaltern(b, a)
+
+
+def six_label_candidates(bound):
+    """Every hexagon-role assignment on a symmetric support within the
+    bound, whether or not the distinct objects are sums."""
+    for magnitudes in itertools.combinations(range(1, bound + 1), 3):
+        for positive_row in itertools.permutations(magnitudes):
+            for negative_row in itertools.permutations(sorted(-m for m in magnitudes)):
+                values = dict(zip("AEU", positive_row)) | dict(zip("IOY", negative_row))
+                yield SegmentAssignment(tuple("AEIOUY"), values, HEXAGON_ROLES)
+
+
+class TestAgainstReferenceDecoders:
+    @pytest.mark.parametrize(
+        "cs,reference",
+        [(SQUARE, _reference_square_relation), (HEXAGON, _reference_hexagon_relation)],
+        ids=["square", "hexagon"],
+    )
+    def test_decode_graph(self, cs, reference):
+        for e in six_label_candidates(7):
+            graph = decode_graph(e, cs)
+            for a, b in itertools.combinations(e.labels, 2):
+                assert graph.relation(a, b) == reference(e, a, b), (values_of(e), a, b)
+
+    def test_square_clause_matches(self):
+        for e in six_label_candidates(7):
+            for a, b in itertools.permutations(e.labels, 2):
+                assert clause_matches(e, SQUARE, a, b) == _reference_square_matches(
+                    e, a, b
+                ), (values_of(e), a, b)
 
 
 class TestInferRole:
