@@ -272,9 +272,10 @@ class TestDecodeGraph:
                 h = extend_hexagon(e)
                 for a, b in itertools.combinations(e.labels, 2):
                     assert len(clause_matches(e, SQUARE, a, b)) >= 1
+                hexagon = decode_graph(h, HEXAGON)
                 for a, b in itertools.combinations(h.labels, 2):
                     assert len(clause_matches(h, HEXAGON, a, b)) >= 1
-                    decode_graph(h, HEXAGON).relation(a, b)
+                    hexagon.relation(a, b)
 
 
 class TestVerifyAgainst:
