@@ -1,8 +1,9 @@
 """Oppositions between quantified sentences, by semantics and by integer segments.
 
 The package classifies pairs of monadic first-order sentences into the
-classical opposition relations by exhaustive finite-model enumeration,
-and encodes the square of oppositions and its hexagonal extension as
+classical opposition relations by checking every inhabited-cell pattern
+(the set of predicate cells a finite model inhabits) up to a bound, and
+encodes the square of oppositions and its hexagonal extension as
 assignments of integers on a one-dimensional segment, where the
 relations are recovered from sign, sum, and order conditions.
 """
@@ -51,14 +52,11 @@ from .graph import (
 )
 from .semantics import (
     Evidence,
-    Model,
     VocabularyMismatchError,
     build_graph,
     classification_evidence,
     classify,
     default_bound,
-    enumerate_models,
-    evaluate,
 )
 from .segment import (
     A_HIGH,

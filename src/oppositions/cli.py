@@ -46,7 +46,7 @@ from .segment import (
     synthesize,
     verify_against,
 )
-from .semantics import VocabularyMismatchError, build_graph, classify, default_bound
+from .semantics import VocabularyMismatchError, build_graph, classify
 
 EXIT_OK = 0
 EXIT_NO_RESULTS = 1
@@ -60,6 +60,16 @@ class _CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -79,12 +89,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     classify_p.add_argument("a", help="first sentence, e.g. 'A[P]' or 'forall x. P(x)'")
     classify_p.add_argument("b", help="second sentence")
     classify_p.add_argument(
-        "--bound", type=int, default=None, help="domain-size bound (default 2^k)"
+        "--bound", type=_positive_int, default=None, help="domain-size bound (default 2^k)"
     )
 
     graph_p = sub.add_parser("graph", help="build the opposition graph of a corpus")
     _add_corpus_arg(graph_p)
-    graph_p.add_argument("--bound", type=int, default=None)
+    graph_p.add_argument("--bound", type=_positive_int, default=None)
     graph_p.add_argument(
         "--format", choices=("structured", "dot", "text"), default="text"
     )
@@ -103,7 +113,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=A_LOW,
         help="whether label A takes the smaller or larger magnitude",
     )
-    encode_p.add_argument("--bound", type=int, default=None)
+    encode_p.add_argument("--bound", type=_positive_int, default=None)
     encode_p.add_argument(
         "--format", choices=("structured", "dot", "text"), default="text"
     )
@@ -114,9 +124,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_corpus_arg(synth_p)
     synth_p.add_argument("--clauses", choices=("square", "hexagon"), default=None)
     synth_p.add_argument(
-        "--magnitude", type=int, default=None, help="search bound on |value|"
+        "--magnitude", type=_positive_int, default=None, help="search bound on |value|"
     )
-    synth_p.add_argument("--bound", type=int, default=None)
+    synth_p.add_argument("--bound", type=_positive_int, default=None)
     synth_p.add_argument("--format", choices=("structured", "text"), default="text")
 
     return parser
@@ -221,6 +231,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         relation = classify(a, b, args.bound)
     except VocabularyMismatchError as err:
         raise _CliError(str(err), EXIT_VOCAB) from None
+    except ValueError as err:
+        raise _CliError(str(err), EXIT_PARSE) from None
     print(relation.text())
     return EXIT_OK
 

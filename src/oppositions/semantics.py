@@ -1,17 +1,21 @@
-"""Ground-truth classification of oppositions by finite-model enumeration.
+"""Ground-truth classification of oppositions over inhabited-cell patterns.
 
-Sentences of the monadic fragment without equality have the small-model
-property: 2^k domain elements suffice for k predicates, so exhaustive
-enumeration up to that bound decides every entailment question the
-classifier asks.  Domains are nonempty throughout; the classical square
-collapses over the empty domain.
+A *cell* is one truth assignment to the k predicates; a model's *pattern*
+is the nonempty set of cells it inhabits.  In the monadic fragment
+without equality a sentence's truth depends only on the pattern
+(Behmann 1922).  Models of at most n elements have exactly the patterns
+of at most n cells, so the bound n keeps those; the default 2^k keeps all
+and decides every question.  Each sentence compiles once into a truth
+mask with one bit per pattern, and the evidence for a pair is bitwise
+algebra on two masks.  Domains are nonempty throughout; the classical
+square collapses over the empty domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterator, Mapping
+from itertools import combinations
+from math import comb
 
 from .formula import (
     FORALL,
@@ -42,24 +46,14 @@ from .graph import (
 )
 from .parser import Corpus
 
+# The largest table the oracle lays out, in pattern-cell pairs: 2^20
+# patterns at k = 4.  The table holds one bit per pair, and one byte per
+# pair while it is built; the work of compiling a sentence grows with it.
+_MAX_TABLE = 1 << 24
+
 
 class VocabularyMismatchError(ValueError):
     """A sentence uses predicates outside the vocabulary in force."""
-
-
-@dataclass(frozen=True)
-class Model:
-    """Finite structure: domain {0..n-1} plus an extension per predicate."""
-
-    domain_size: int
-    extensions: Mapping[str, frozenset[int]]
-
-    def __post_init__(self) -> None:
-        if self.domain_size < 1:
-            raise ValueError("domains are nonempty")
-        for name, ext in self.extensions.items():
-            if not ext <= frozenset(range(self.domain_size)):
-                raise ValueError(f"extension of {name!r} outside the domain")
 
 
 def default_bound(vocab: Vocabulary) -> int:
@@ -67,63 +61,93 @@ def default_bound(vocab: Vocabulary) -> int:
     return 2 ** len(vocab)
 
 
-def _subsets(n: int) -> Iterator[frozenset[int]]:
-    # binary-counter order: element j present iff bit j is set
-    for bits in range(1 << n):
-        yield frozenset(i for i in range(n) if bits >> i & 1)
+class _Patterns:
+    """The patterns of at most ``max_size`` cells (default 2^k, so all).
 
+    Cell c makes the j-th predicate true iff bit j of c is set.  Patterns
+    are numbered by size, then in ``itertools.combinations`` order.
+    """
 
-def enumerate_models(vocab: Vocabulary, max_size: int) -> Iterator[Model]:
-    """Every model with domain size 1..max_size, in deterministic order."""
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    for n in range(1, max_size + 1):
-        for extensions in product(*(_subsets(n) for _ in vocab.predicates)):
-            yield Model(n, dict(zip(vocab.predicates, extensions)))
+    def __init__(self, vocab: Vocabulary, max_size: int | None):
+        if max_size is None:
+            max_size = default_bound(vocab)
+        if max_size < 1:
+            raise ValueError("max_size must be at least 1")
+        cells = 1 << len(vocab)
+        largest = min(max_size, cells)
+        count = 0
+        for size in range(1, largest + 1):
+            count += comb(cells, size)
+            if count * cells > _MAX_TABLE:
+                raise ValueError(
+                    f"{len(vocab)} predicates at bound {max_size} need at least "
+                    f"{count:,} inhabited-cell patterns over {cells:,} cells; the "
+                    f"oracle lays out at most {_MAX_TABLE:,} pattern-cell pairs"
+                )
+        self.all = (1 << count) - 1
+        self._atoms = {
+            p: sum(1 << c for c in range(cells) if c >> j & 1)
+            for j, p in enumerate(vocab.predicates)
+        }
+        self._full_cells = (1 << cells) - 1
+        # one '0'/'1' digit per pattern, the last pattern first
+        digits = [bytearray(b"0") * count for _ in range(cells)]
+        i = count
+        for size in range(1, largest + 1):
+            for pattern in combinations(range(cells), size):
+                i -= 1
+                for c in pattern:
+                    digits[c][i] = 49  # ord("1")
+        # bit i of _inhabiting[c] says whether pattern i inhabits cell c
+        self._inhabiting = [int(d, 2) for d in digits]
 
+    def _cells(self, m: Matrix) -> int:
+        """Mask over cells: bit c says whether the matrix holds in cell c."""
+        if isinstance(m, Atom):
+            return self._atoms[m.predicate]
+        if isinstance(m, MNot):
+            return self._full_cells ^ self._cells(m.body)
+        if isinstance(m, MAnd):
+            return self._cells(m.left) & self._cells(m.right)
+        if isinstance(m, MOr):
+            return self._cells(m.left) | self._cells(m.right)
+        if isinstance(m, MImplies):
+            return (self._full_cells ^ self._cells(m.left)) | self._cells(m.right)
+        raise TypeError(f"not a matrix: {m!r}")
 
-def _eval_matrix(m: Matrix, model: Model, element: int) -> bool:
-    if isinstance(m, Atom):
-        try:
-            return element in model.extensions[m.predicate]
-        except KeyError:
-            raise VocabularyMismatchError(
-                f"predicate {m.predicate!r} not in the model vocabulary"
-            ) from None
-    if isinstance(m, MNot):
-        return not _eval_matrix(m.body, model, element)
-    if isinstance(m, MAnd):
-        return _eval_matrix(m.left, model, element) and _eval_matrix(m.right, model, element)
-    if isinstance(m, MOr):
-        return _eval_matrix(m.left, model, element) or _eval_matrix(m.right, model, element)
-    if isinstance(m, MImplies):
-        return not _eval_matrix(m.left, model, element) or _eval_matrix(
-            m.right, model, element
-        )
-    raise TypeError(f"not a matrix: {m!r}")
+    def _some(self, cells: int) -> int:
+        """Mask over patterns: those inhabiting at least one of the cells."""
+        mask = 0
+        for c, inhabiting in enumerate(self._inhabiting):
+            if cells >> c & 1:
+                mask |= inhabiting
+        return mask
 
+    def truth(self, s: Sentence) -> int:
+        """Mask over patterns: bit i says whether the sentence holds in pattern i."""
+        if isinstance(s, Quantified):
+            cells = self._cells(s.matrix)
+            if s.quantifier == FORALL:
+                return self.all ^ self._some(self._full_cells ^ cells)
+            return self._some(cells)
+        if isinstance(s, Not):
+            return self.all ^ self.truth(s.body)
+        if isinstance(s, And):
+            return self.truth(s.left) & self.truth(s.right)
+        if isinstance(s, Or):
+            return self.truth(s.left) | self.truth(s.right)
+        if isinstance(s, Implies):
+            return (self.all ^ self.truth(s.left)) | self.truth(s.right)
+        raise TypeError(f"not a sentence: {s!r}")
 
-def evaluate(model: Model, s: Sentence) -> bool:
-    """Tarskian truth of a closed sentence in a finite model."""
-    if isinstance(s, Quantified):
-        elements = range(model.domain_size)
-        if s.quantifier == FORALL:
-            return all(_eval_matrix(s.matrix, model, e) for e in elements)
-        return any(_eval_matrix(s.matrix, model, e) for e in elements)
-    if isinstance(s, Not):
-        return not evaluate(model, s.body)
-    if isinstance(s, And):
-        return evaluate(model, s.left) and evaluate(model, s.right)
-    if isinstance(s, Or):
-        return evaluate(model, s.left) or evaluate(model, s.right)
-    if isinstance(s, Implies):
-        return not evaluate(model, s.left) or evaluate(model, s.right)
-    raise TypeError(f"not a sentence: {s!r}")
+    def evidence(self, ta: int, tb: int) -> Evidence:
+        """The classification flags of two truth masks."""
+        return Evidence(ta & tb != 0, ta | tb != self.all, ta & ~tb == 0, tb & ~ta == 0)
 
 
 @dataclass(frozen=True)
 class Evidence:
-    """Truth-combination evidence gathered over all enumerated models."""
+    """Truth-combination evidence gathered over all patterns in the bound."""
 
     both_true: bool
     both_false: bool
@@ -155,20 +179,25 @@ def classification_evidence(
     max_size: int | None = None,
     vocab: Vocabulary | None = None,
 ) -> Evidence:
-    """Scan all models up to the bound for the four classification flags."""
-    vocab = _shared_vocabulary(a, b, vocab)
-    if max_size is None:
-        max_size = default_bound(vocab)
-    both_true = both_false = False
-    ab = ba = True
-    for model in enumerate_models(vocab, max_size):
-        va = evaluate(model, a)
-        vb = evaluate(model, b)
-        both_true = both_true or (va and vb)
-        both_false = both_false or (not va and not vb)
-        ab = ab and (vb or not va)
-        ba = ba and (va or not vb)
-    return Evidence(both_true, both_false, ab, ba)
+    """The four classification flags over every pattern up to the bound."""
+    patterns = _Patterns(_shared_vocabulary(a, b, vocab), max_size)
+    return patterns.evidence(patterns.truth(a), patterns.truth(b))
+
+
+def _relation(ev: Evidence, names: tuple[str, str]) -> Relation:
+    if ev.first_entails_second and ev.second_entails_first:
+        return EQUIVALENT
+    if not ev.both_true and not ev.both_false:
+        return CONTRADICTORY
+    if not ev.both_true:
+        return CONTRARY
+    if not ev.both_false:
+        return SUBCONTRARY
+    if ev.first_entails_second:
+        return subaltern(names[0], names[1])
+    if ev.second_entails_first:
+        return subaltern(names[1], names[0])
+    return UNCONNECTED
 
 
 def classify(
@@ -186,31 +215,19 @@ def classify(
     one-directional entailment between logically independent sentences,
     so equivalent sentences are never subalterns of each other.
     """
-    ev = classification_evidence(a, b, max_size, vocab)
-    if ev.first_entails_second and ev.second_entails_first:
-        return EQUIVALENT
-    if not ev.both_true and not ev.both_false:
-        return CONTRADICTORY
-    if not ev.both_true:
-        return CONTRARY
-    if not ev.both_false:
-        return SUBCONTRARY
-    if ev.first_entails_second:
-        return subaltern(names[0], names[1])
-    if ev.second_entails_first:
-        return subaltern(names[1], names[0])
-    return UNCONNECTED
+    return _relation(classification_evidence(a, b, max_size, vocab), names)
 
 
 def build_graph(corpus: Corpus, max_size: int | None = None) -> OppositionGraph:
-    """Classify every unordered pair of corpus sentences."""
+    """Classify every unordered pair of corpus sentences.
+
+    Each sentence compiles once; a pair then costs one bitwise step.
+    """
     if len(corpus) < 2:
         raise ValueError("a corpus needs at least two entries to build a graph")
-    if max_size is None:
-        max_size = default_bound(corpus.vocabulary)
+    patterns = _Patterns(corpus.vocabulary, max_size)
+    truths = [(label, patterns.truth(s)) for label, s in corpus.entries]
     edges = {}
-    for (la, sa), (lb, sb) in combinations(corpus.entries, 2):
-        edges[frozenset((la, lb))] = classify(
-            sa, sb, max_size, corpus.vocabulary, names=(la, lb)
-        )
+    for (la, ta), (lb, tb) in combinations(truths, 2):
+        edges[frozenset((la, lb))] = _relation(patterns.evidence(ta, tb), (la, lb))
     return OppositionGraph(corpus.labels, edges)

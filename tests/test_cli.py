@@ -255,6 +255,28 @@ class TestSynthesize:
         assert "polarity role" in err
 
 
+def with_corpus(tmp_path, corpus, argv):
+    """argv, plus a --corpus file holding the corpus text unless it is None."""
+    if corpus is None:
+        return argv
+    path = tmp_path / "input.corpus"
+    path.write_text(corpus + "\n", encoding="utf-8")
+    return (*argv, "--corpus", str(path))
+
+
+def run_child(tmp_path, corpus, argv):
+    """Run the CLI in a child process, so an uncaught exception shows its traceback."""
+    argv = with_corpus(tmp_path, corpus, argv)
+    src = str(Path(oppositions.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "oppositions", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+
+
 class TestShapeErrors:
     @pytest.mark.parametrize(
         "corpus,argv",
@@ -266,20 +288,76 @@ class TestShapeErrors:
         ids=["hexagon-clauses-on-square", "unbalanced-polarities", "encode-hexagon-clauses"],
     )
     def test_exit_four_without_traceback(self, tmp_path, corpus, argv):
-        # a child process, so an uncaught exception would show its traceback
-        path = tmp_path / "shape.corpus"
-        path.write_text(corpus + "\n", encoding="utf-8")
-        src = str(Path(oppositions.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "oppositions", *argv, "--corpus", str(path)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        done = run_child(tmp_path, corpus, argv)
         assert done.returncode == 4
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+class TestBoundErrors:
+    @pytest.mark.parametrize(
+        "corpus,argv",
+        [
+            (None, ("classify", "A[P]", "I[P]", "--bound", "0")),
+            (SQUARE_CORPUS, ("encode", "--bound", "-1")),
+            (HEXAGON_CORPUS, ("synthesize", "--magnitude", "0")),
+            (
+                None,
+                (
+                    "classify",
+                    "forall x. P(x) & Q(x) -> R(x) | S(x) | T(x)",
+                    "exists x. P(x) & Q(x) & ~R(x) & ~S(x) & ~T(x)",
+                ),
+            ),
+        ],
+        ids=[
+            "classify-bound-zero",
+            "encode-bound-negative",
+            "synthesize-magnitude-zero",
+            "classify-too-many-patterns",
+        ],
+    )
+    def test_exit_two_without_traceback(self, tmp_path, corpus, argv):
+        done = run_child(tmp_path, corpus, argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert "error: " in done.stderr.splitlines()[-1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# file name in tests/golden -> (corpus or None, argv, exit code)
+README_COMMANDS = {
+    "classify-contradictory": (None, ("classify", "A[P]", "O[P]"), 0),
+    "classify-subaltern": (None, ("classify", "A[P]", "I[P]"), 0),
+    "graph-square-text": (SQUARE_CORPUS, ("graph", "--format", "text"), 0),
+    "graph-square-structured": (SQUARE_CORPUS, ("graph", "--format", "structured"), 0),
+    "graph-square-dot": (SQUARE_CORPUS, ("graph", "--format", "dot"), 0),
+    "encode-hexagon": (HEXAGON_CORPUS, ("encode", "--q", "1", "--r", "2"), 0),
+    "synthesize-hexagon-square": (
+        HEXAGON_CORPUS,
+        ("synthesize", "--clauses", "square", "--magnitude", "6"),
+        1,
+    ),
+    "synthesize-hexagon-hexagon": (
+        HEXAGON_CORPUS,
+        ("synthesize", "--clauses", "hexagon", "--magnitude", "6"),
+        0,
+    ),
+}
+
+
+class TestGoldenStdout:
+    """The README's commands print exactly the bytes recorded in tests/golden."""
+
+    @pytest.mark.parametrize("name", list(README_COMMANDS))
+    def test_byte_identical(self, capsys, tmp_path, name):
+        corpus, argv, exit_code = README_COMMANDS[name]
+        code, out, err = run(capsys, *with_corpus(tmp_path, corpus, argv))
+        assert (code, err) == (exit_code, "")
+        assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
 class TestDeterminism:

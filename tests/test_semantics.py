@@ -1,23 +1,37 @@
 import itertools
+import tracemalloc
+from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppositions import (
+    FORALL,
     FORMS,
     REPRESENTATIONS,
-    Model,
+    And,
+    Atom,
+    Corpus,
+    Evidence,
+    Implies,
+    MAnd,
+    MImplies,
+    MNot,
+    MOr,
+    Matrix,
     Not,
+    Or,
+    Quantified,
     RelationKind,
+    Sentence,
     Vocabulary,
     VocabularyMismatchError,
     build_graph,
     classification_evidence,
     classify,
     default_bound,
-    enumerate_models,
-    evaluate,
     graph_equal,
     make_categorical,
     parse_corpus,
@@ -31,6 +45,93 @@ VP = Vocabulary.of("P")
 
 def sent(text):
     return parse_sentence(text)
+
+
+# --- the finite-model enumerator the pattern oracle replaced ---------------
+# Frozen here as the differential reference: it walks both sentence trees in
+# every model of every size up to the bound.
+
+
+@dataclass(frozen=True)
+class Model:
+    """Finite structure: domain {0..n-1} plus an extension per predicate."""
+
+    domain_size: int
+    extensions: Mapping[str, frozenset[int]]
+
+    def __post_init__(self) -> None:
+        if self.domain_size < 1:
+            raise ValueError("domains are nonempty")
+        for name, ext in self.extensions.items():
+            if not ext <= frozenset(range(self.domain_size)):
+                raise ValueError(f"extension of {name!r} outside the domain")
+
+
+def _subsets(n: int) -> Iterator[frozenset[int]]:
+    # binary-counter order: element j present iff bit j is set
+    for bits in range(1 << n):
+        yield frozenset(i for i in range(n) if bits >> i & 1)
+
+
+def enumerate_models(vocab: Vocabulary, max_size: int) -> Iterator[Model]:
+    """Every model with domain size 1..max_size, in deterministic order."""
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    for n in range(1, max_size + 1):
+        for extensions in itertools.product(*(_subsets(n) for _ in vocab.predicates)):
+            yield Model(n, dict(zip(vocab.predicates, extensions)))
+
+
+def _eval_matrix(m: Matrix, model: Model, element: int) -> bool:
+    if isinstance(m, Atom):
+        try:
+            return element in model.extensions[m.predicate]
+        except KeyError:
+            raise VocabularyMismatchError(
+                f"predicate {m.predicate!r} not in the model vocabulary"
+            ) from None
+    if isinstance(m, MNot):
+        return not _eval_matrix(m.body, model, element)
+    if isinstance(m, MAnd):
+        return _eval_matrix(m.left, model, element) and _eval_matrix(m.right, model, element)
+    if isinstance(m, MOr):
+        return _eval_matrix(m.left, model, element) or _eval_matrix(m.right, model, element)
+    if isinstance(m, MImplies):
+        return not _eval_matrix(m.left, model, element) or _eval_matrix(
+            m.right, model, element
+        )
+    raise TypeError(f"not a matrix: {m!r}")
+
+
+def evaluate(model: Model, s: Sentence) -> bool:
+    """Tarskian truth of a closed sentence in a finite model."""
+    if isinstance(s, Quantified):
+        elements = range(model.domain_size)
+        if s.quantifier == FORALL:
+            return all(_eval_matrix(s.matrix, model, e) for e in elements)
+        return any(_eval_matrix(s.matrix, model, e) for e in elements)
+    if isinstance(s, Not):
+        return not evaluate(model, s.body)
+    if isinstance(s, And):
+        return evaluate(model, s.left) and evaluate(model, s.right)
+    if isinstance(s, Or):
+        return evaluate(model, s.left) or evaluate(model, s.right)
+    if isinstance(s, Implies):
+        return not evaluate(model, s.left) or evaluate(model, s.right)
+    raise TypeError(f"not a sentence: {s!r}")
+
+
+def reference_evidence(a, b, max_size, vocab):
+    both_true = both_false = False
+    ab = ba = True
+    for model in enumerate_models(vocab, max_size):
+        va = evaluate(model, a)
+        vb = evaluate(model, b)
+        both_true = both_true or (va and vb)
+        both_false = both_false or (not va and not vb)
+        ab = ab and (vb or not va)
+        ba = ba and (va or not vb)
+    return Evidence(both_true, both_false, ab, ba)
 
 
 class TestEnumeration:
@@ -243,3 +344,107 @@ class TestDefaultBound:
     )
     def test_powers_of_two(self, names, expected):
         assert default_bound(Vocabulary(names)) == expected
+
+
+K1 = sentence_strategy(("P",))
+K2 = sentence_strategy(("P", "Q"))
+K3 = sentence_strategy(("P", "Q", "R"))
+
+
+class TestAgainstReferenceEnumerator:
+    """The pattern oracle answers exactly as the model enumerator, bound by bound."""
+
+    @staticmethod
+    def check(a, b, vocab, bounds):
+        for bound in bounds:
+            assert classification_evidence(a, b, bound, vocab) == reference_evidence(
+                a, b, bound, vocab
+            ), bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(K1, K1)
+    def test_one_predicate_every_bound(self, a, b):
+        self.check(a, b, VP, range(1, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(K2, K2)
+    def test_two_predicates_every_bound(self, a, b):
+        self.check(a, b, Vocabulary.of("P", "Q"), range(1, 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(K3, K3)
+    def test_three_predicates_small_bounds(self, a, b):
+        self.check(a, b, Vocabulary.of("P", "Q", "R"), range(1, 4))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(K2, min_size=2, max_size=4), st.integers(min_value=1, max_value=4))
+    def test_graph_agrees_with_pairwise_classify(self, sentences, bound):
+        vocab = Vocabulary.of("P", "Q")
+        labels = [f"s{i}" for i in range(len(sentences))]
+        graph = build_graph(Corpus(tuple(zip(labels, sentences)), vocab), bound)
+        for (la, a), (lb, b) in itertools.combinations(zip(labels, sentences), 2):
+            assert graph.relation(la, lb) == classify(a, b, bound, vocab, names=(la, lb))
+
+
+class TestDefaultBoundExact:
+    """Default-bound answers at k = 3 and 4, derived by hand."""
+
+    def test_three_predicates_contradictory(self):
+        a = sent("forall x. P(x) & Q(x) -> R(x)")
+        b = sent("exists x. P(x) & Q(x) & ~R(x)")
+        assert classify(a, b).kind is RelationKind.CONTRADICTORY
+
+    def test_four_predicates_contradictory(self):
+        a = sent("forall x. P(x) & Q(x) -> R(x) | S(x)")
+        b = sent("exists x. P(x) & Q(x) & ~R(x) & ~S(x)")
+        assert classify(a, b).kind is RelationKind.CONTRADICTORY
+
+    def test_three_predicate_graph(self):
+        corpus = parse_corpus(
+            "all: forall x. P(x) -> Q(x)\n"
+            "allr: forall x. P(x) -> Q(x) & R(x)\n"
+            "some: exists x. P(x) & ~Q(x)\n"
+            "other: exists x. ~P(x) | Q(x)\n"
+        )
+        graph = build_graph(corpus)
+        # allr strengthens all; all forces some element to be ~P or Q
+        assert graph.relation("allr", "all") == subaltern("allr", "all")
+        assert graph.relation("all", "other") == subaltern("all", "other")
+        assert graph.relation("allr", "other") == subaltern("allr", "other")
+        assert graph.relation("all", "some").kind is RelationKind.CONTRADICTORY
+        # all P are Q and R, yet some P is not Q: never both; both fail if some P lacks R
+        assert graph.relation("allr", "some").kind is RelationKind.CONTRARY
+        # every element is either P & ~Q or not
+        assert graph.relation("some", "other").kind is RelationKind.SUBCONTRARY
+
+
+class TestPatternLimit:
+    A5 = "forall x. P(x) & Q(x) -> R(x) | S(x) | T(x)"
+    O5 = "exists x. P(x) & Q(x) & ~R(x) & ~S(x) & ~T(x)"
+    WIDE = " | ".join(f"P{i}(x)" for i in range(13))
+
+    @pytest.mark.parametrize(
+        "a,b,bound,message",
+        [
+            # 2^32 - 1 patterns over 32 cells
+            (A5, O5, None, "5 predicates at bound 32 "),
+            # few patterns, but each of 8,192 cells needs one bit per pattern
+            (f"forall x. {WIDE}", f"exists x. {WIDE}", 1, "13 predicates at bound 1 "),
+        ],
+        ids=["five-predicates-default-bound", "thirteen-predicates-bound-one"],
+    )
+    def test_refused_before_allocating(self, a, b, bound, message):
+        a, b = sent(a), sent(b)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message) as info:
+                classify(a, b, bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "\n" not in str(info.value)
+        assert peak < 100_000
+
+    def test_small_bound_still_answers(self):
+        # 41,448 patterns of at most 4 of the 32 cells
+        assert classify(sent(self.A5), sent(self.O5), 4).kind is RelationKind.CONTRADICTORY
