@@ -19,11 +19,6 @@ from .formula import (
     Atom,
     And,
     Implies,
-    MAnd,
-    MImplies,
-    MNot,
-    MOr,
-    Matrix,
     Not,
     Or,
     Quantified,

@@ -141,14 +141,14 @@ def _add_corpus_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_corpus(path: str) -> Corpus:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
-            raise _CliError(f"cannot read corpus: {err}", EXIT_PARSE) from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise _CliError(f"cannot read corpus: {err}", EXIT_PARSE) from None
     try:
         return parse_corpus(text)
     except ParseError as err:

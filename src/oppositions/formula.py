@@ -1,9 +1,12 @@
 """Sentence language for opposition theory.
 
 A sentence is either a single quantifier applied to a quantifier-free
-monadic matrix, or a boolean combination of such sentences.  Quantifiers
-never nest: the disjunctive and conjunctive corners of the hexagon only
-need top-level connectives.
+monadic matrix, or a boolean combination of such sentences.  Both levels
+share one node family: ``Atom`` and ``Quantified`` are the leaves, and
+``Not``, ``And``, ``Or`` and ``Implies`` are the connectives of matrices
+and sentences alike.  An atom belongs inside a quantifier and a
+quantifier outside one; quantifiers never nest, since the disjunctive
+and conjunctive corners of the hexagon only need top-level connectives.
 """
 
 from __future__ import annotations
@@ -48,54 +51,27 @@ class Vocabulary:
         return cls(tuple(names))
 
 
-# --- matrices: boolean expressions over atoms of one bound variable ---
-
-
-@dataclass(frozen=True)
-class Matrix:
-    pass
-
-
-@dataclass(frozen=True)
-class Atom(Matrix):
-    predicate: str
-
-
-@dataclass(frozen=True)
-class MNot(Matrix):
-    body: Matrix
-
-
-@dataclass(frozen=True)
-class MAnd(Matrix):
-    left: Matrix
-    right: Matrix
-
-
-@dataclass(frozen=True)
-class MOr(Matrix):
-    left: Matrix
-    right: Matrix
-
-
-@dataclass(frozen=True)
-class MImplies(Matrix):
-    left: Matrix
-    right: Matrix
-
-
-# --- sentences: quantified matrices under boolean connectives ---
+# --- one node family for matrices and sentences ---
 
 
 @dataclass(frozen=True)
 class Sentence:
-    pass
+    """A node of a sentence or of the matrix under its quantifier."""
+
+
+@dataclass(frozen=True)
+class Atom(Sentence):
+    """A predicate applied to the bound variable; a leaf of a matrix."""
+
+    predicate: str
 
 
 @dataclass(frozen=True)
 class Quantified(Sentence):
+    """A quantifier over a matrix; a leaf of a sentence."""
+
     quantifier: str
-    matrix: Matrix
+    matrix: Sentence
 
     def __post_init__(self) -> None:
         if self.quantifier not in QUANTIFIERS:
@@ -125,22 +101,12 @@ class Implies(Sentence):
     right: Sentence
 
 
-def matrix_predicates(m: Matrix) -> tuple[str, ...]:
-    """Predicate names used in a matrix, in first-occurrence order."""
-    if isinstance(m, Atom):
-        return (m.predicate,)
-    if isinstance(m, MNot):
-        return matrix_predicates(m.body)
-    if isinstance(m, (MAnd, MOr, MImplies)):
-        left = matrix_predicates(m.left)
-        return left + tuple(p for p in matrix_predicates(m.right) if p not in left)
-    raise TypeError(f"not a matrix: {m!r}")
-
-
 def sentence_predicates(s: Sentence) -> tuple[str, ...]:
-    """Predicate names used in a sentence, in first-occurrence order."""
+    """Predicate names used in a sentence or matrix, in first-occurrence order."""
+    if isinstance(s, Atom):
+        return (s.predicate,)
     if isinstance(s, Quantified):
-        return matrix_predicates(s.matrix)
+        return sentence_predicates(s.matrix)
     if isinstance(s, Not):
         return sentence_predicates(s.body)
     if isinstance(s, (And, Or, Implies)):
@@ -175,7 +141,7 @@ def make_categorical(form: str, predicate: str, representation: str = MIXED) -> 
         )
 
     phi = Atom(predicate)
-    not_phi = MNot(phi)
+    not_phi = Not(phi)
     if representation == MIXED:
         table = {
             "A": Quantified(FORALL, phi),
@@ -204,44 +170,28 @@ def make_categorical(form: str, predicate: str, representation: str = MIXED) -> 
 
 # Precedence levels: -> is 1, | is 2, & is 3, ~ is 4, atoms and quantified
 # sentences are 5.  Binary connectives are left-associative, so a right
-# operand at the same level needs parentheses.
+# operand at the same level needs parentheses.  The parser reads the same
+# table.
 
 _NOT_LEVEL = 4
+BINARY_CONNECTIVES = {And: ("&", 3), Or: ("|", 2), Implies: ("->", 1)}
 
 
-def _binary_parts(node):
-    if isinstance(node, (And, MAnd)):
-        return "&", 3
-    if isinstance(node, (Or, MOr)):
-        return "|", 2
-    if isinstance(node, (Implies, MImplies)):
-        return "->", 1
-    return None
-
-
-def _print_matrix(m: Matrix, floor: int) -> str:
-    if isinstance(m, Atom):
-        return f"{m.predicate}(x)"
-    if isinstance(m, MNot):
-        return "~" + _print_matrix(m.body, _NOT_LEVEL)
-    op, level = _binary_parts(m)
-    text = f"{_print_matrix(m.left, level)} {op} {_print_matrix(m.right, level + 1)}"
-    return f"({text})" if level < floor else text
-
-
-def _print_sentence(s: Sentence, floor: int) -> str:
+def _print(s: Sentence, floor: int) -> str:
+    if isinstance(s, Atom):
+        return f"{s.predicate}(x)"
     if isinstance(s, Quantified):
-        text = f"{s.quantifier} x. {_print_matrix(s.matrix, 0)}"
+        text = f"{s.quantifier} x. {_print(s.matrix, 0)}"
         # a quantifier body extends as far as possible, so any operand
         # position requires parentheses
         return f"({text})" if floor > 0 else text
     if isinstance(s, Not):
-        return "~" + _print_sentence(s.body, _NOT_LEVEL)
-    op, level = _binary_parts(s)
-    text = f"{_print_sentence(s.left, level)} {op} {_print_sentence(s.right, level + 1)}"
+        return "~" + _print(s.body, _NOT_LEVEL)
+    op, level = BINARY_CONNECTIVES[type(s)]
+    text = f"{_print(s.left, level)} {op} {_print(s.right, level + 1)}"
     return f"({text})" if level < floor else text
 
 
 def print_sentence(s: Sentence) -> str:
     """Render a sentence in the concrete syntax accepted by the parser."""
-    return _print_sentence(s, 0)
+    return _print(s, 0)

@@ -8,11 +8,15 @@ left-associative)::
               | '(' sentence ')'
               | ('forall' | 'exists') VAR '.' matrix
               | TAG '[' PREDICATE ']'          # A,E,I,O,U,Y sugar
-    matrix   := same connective structure over atoms PREDICATE '(' VAR ')'
+    matrix   := the same connectives over atoms PREDICATE '(' VAR ')'
 
-The quantifier body extends as far as possible.  Sugar tags expand at
-parse time through the mixed representation, so later stages only ever
-see plain sentences.
+One grammar parses both levels; its leaves are quantified sentences and
+sugar outside a quantifier, atoms of the bound variable inside one.  The
+quantifier body extends as far as possible.  Sugar tags expand at parse
+time through the mixed representation, so later stages only ever see
+plain sentences.  Parentheses may nest at most ``MAX_DEPTH`` deep, and
+at most ``MAX_DEPTH`` connectives may sit above any atom or quantifier,
+so the parser and every recursive walk over a parsed tree stay shallow.
 
 Corpus files are line oriented: one ``label: sentence`` entry per line,
 ``#`` starts a comment, blank lines are skipped.
@@ -24,25 +28,24 @@ import re
 from dataclasses import dataclass
 
 from .formula import (
+    BINARY_CONNECTIVES,
     EXISTS,
     FORALL,
     FORMS,
     Atom,
-    MAnd,
-    MImplies,
-    MNot,
-    MOr,
-    Matrix,
     Sentence,
-    And,
-    Implies,
     Not,
-    Or,
     Quantified,
     Vocabulary,
     make_categorical,
     sentence_predicates,
 )
+
+
+MAX_DEPTH = 100
+
+# binary connectives by symbol: precedence level and node
+_BINARY = {op: (level, node) for node, (op, level) in BINARY_CONNECTIVES.items()}
 
 
 class ParseError(Exception):
@@ -107,6 +110,7 @@ class _Parser:
     def __init__(self, text: str, line: int = 1, col_offset: int = 0):
         self.tokens = _tokenize(text, line, col_offset)
         self.pos = 0
+        self.parens = self.depth = self.reach = 0
         lines = text.split("\n")
         self.end_line = line + len(lines) - 1
         self.end_col = (col_offset if len(lines) == 1 else 0) + len(lines[-1]) + 1
@@ -136,44 +140,74 @@ class _Parser:
             return ParseError(message, self.end_line, self.end_col)
         return ParseError(message, tok.line, tok.col)
 
-    # sentence level
+    # One grammar serves both levels: ``var`` is the bound variable inside a
+    # quantifier body, or None outside one.  ``parens`` counts the open
+    # parentheses and ``depth`` the connectives around the token being
+    # read; ``reach`` is the most connectives around any leaf of the
+    # subtree parsed last.
 
     def sentence(self) -> Sentence:
-        return self._sentence_binary(1)
+        return self._binary(1, None)
 
-    def _sentence_binary(self, level: int) -> Sentence:
-        ops = {1: ("->", Implies), 2: ("|", Or), 3: ("&", And)}
-        if level > 3:
-            return self._sentence_unary()
-        symbol, node = ops[level]
-        result = self._sentence_binary(level + 1)
-        while (tok := self.peek()) is not None and tok.text == symbol:
+    def _deeper(self, level: int, tok: _Token) -> int:
+        if level > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        return level
+
+    def _binary(self, floor: int, var: str | None) -> Sentence:
+        """Connectives of precedence ``floor`` and above, left-associative."""
+        result = self._unary(var)
+        while (tok := self.peek()) is not None and _BINARY.get(tok.text, (0,))[0] >= floor:
+            level, node = _BINARY[tok.text]
             self.advance()
-            result = node(result, self._sentence_binary(level + 1))
+            # the operator puts everything parsed so far one level deeper
+            reach = self._deeper(self.reach + 1, tok)
+            self.depth += 1
+            result = node(result, self._binary(level + 1, var))
+            self.depth -= 1
+            self.reach = max(reach, self.reach)
         return result
 
-    def _sentence_unary(self) -> Sentence:
+    def _unary(self, var: str | None) -> Sentence:
         tok = self.peek()
         if tok is not None and tok.text == "~":
             self.advance()
-            return Not(self._sentence_unary())
-        return self._sentence_primary()
+            self.depth = self._deeper(self.depth + 1, tok)
+            body = self._unary(var)
+            self.depth -= 1
+            return Not(body)
+        return self._primary(var)
 
-    def _sentence_primary(self) -> Sentence:
+    def _primary(self, var: str | None) -> Sentence:
+        expected = "a sentence" if var is None else "an atom"
         tok = self.peek()
         if tok is None:
-            raise self.fail("expected a sentence")
+            raise self.fail(f"expected {expected}")
         if tok.text == "(":
             self.advance()
-            inner = self.sentence()
+            self.parens = self._deeper(self.parens + 1, tok)
+            inner = self._binary(1, var)
+            self.parens -= 1
             self.expect(")")
             return inner
-        if tok.text in (FORALL, EXISTS):
+        self.reach = self.depth
+        if var is not None:
+            if tok.text[0].isupper():
+                self.advance()
+                self.expect("(")
+                arg = self.advance()
+                if not arg.text[0].isalpha():
+                    raise ParseError(f"expected a variable, found {arg.text!r}", arg.line, arg.col)
+                if arg.text != var:
+                    raise ParseError(f"free variable {arg.text!r}", arg.line, arg.col)
+                self.expect(")")
+                return Atom(tok.text)
+        elif tok.text in (FORALL, EXISTS):
             self.advance()
-            var = self._variable()
+            bound = self._variable()
             self.expect(".")
-            return Quantified(tok.text, self._matrix_binary(1, var))
-        if tok.text[0].isalpha():
+            return Quantified(tok.text, self._binary(1, bound))
+        elif tok.text[0].isalpha():
             after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
             if after is not None and after.text == "[":
                 if tok.text not in FORMS:
@@ -189,48 +223,7 @@ class _Parser:
                     tok.line,
                     tok.col,
                 )
-        raise self.fail(f"expected a sentence, found {tok.text!r}")
-
-    # matrix level
-
-    def _matrix_binary(self, level: int, var: str) -> Matrix:
-        ops = {1: ("->", MImplies), 2: ("|", MOr), 3: ("&", MAnd)}
-        if level > 3:
-            return self._matrix_unary(var)
-        symbol, node = ops[level]
-        result = self._matrix_binary(level + 1, var)
-        while (tok := self.peek()) is not None and tok.text == symbol:
-            self.advance()
-            result = node(result, self._matrix_binary(level + 1, var))
-        return result
-
-    def _matrix_unary(self, var: str) -> Matrix:
-        tok = self.peek()
-        if tok is not None and tok.text == "~":
-            self.advance()
-            return MNot(self._matrix_unary(var))
-        return self._matrix_primary(var)
-
-    def _matrix_primary(self, var: str) -> Matrix:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail("expected an atom")
-        if tok.text == "(":
-            self.advance()
-            inner = self._matrix_binary(1, var)
-            self.expect(")")
-            return inner
-        if tok.text[0].isalpha() and tok.text[0].isupper():
-            name = self.advance().text
-            self.expect("(")
-            arg = self.advance()
-            if not arg.text[0].isalpha():
-                raise ParseError(f"expected a variable, found {arg.text!r}", arg.line, arg.col)
-            if arg.text != var:
-                raise ParseError(f"free variable {arg.text!r}", arg.line, arg.col)
-            self.expect(")")
-            return Atom(name)
-        raise self.fail(f"expected an atom, found {tok.text!r}")
+        raise self.fail(f"expected {expected}, found {tok.text!r}")
 
     def _variable(self) -> str:
         tok = self.advance()

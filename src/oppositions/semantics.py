@@ -7,8 +7,10 @@ without equality a sentence's truth depends only on the pattern
 of at most n cells, so the bound n keeps those; the default 2^k keeps all
 and decides every question.  Each sentence compiles once into a truth
 mask with one bit per pattern, and the evidence for a pair is bitwise
-algebra on two masks.  Domains are nonempty throughout; the classical
-square collapses over the empty domain.
+algebra on two masks.  One connective fold compiles both levels: a
+matrix into a mask over cells from its atoms, and a sentence into a mask
+over patterns from its quantified matrices.  Domains are nonempty
+throughout; the classical square collapses over the empty domain.
 """
 
 from __future__ import annotations
@@ -16,15 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Callable
 
 from .formula import (
     FORALL,
     Atom,
-    MAnd,
-    MImplies,
-    MNot,
-    MOr,
-    Matrix,
     Sentence,
     And,
     Implies,
@@ -59,6 +57,19 @@ class VocabularyMismatchError(ValueError):
 def default_bound(vocab: Vocabulary) -> int:
     """Domain bound 2^k, sound for the monadic fragment without equality."""
     return 2 ** len(vocab)
+
+
+def _fold(s: Sentence, leaf: Callable[[Sentence], int], full: int) -> int:
+    """Mask of a boolean combination of leaves, complemented within ``full``."""
+    if isinstance(s, Not):
+        return full ^ _fold(s.body, leaf, full)
+    if isinstance(s, And):
+        return _fold(s.left, leaf, full) & _fold(s.right, leaf, full)
+    if isinstance(s, Or):
+        return _fold(s.left, leaf, full) | _fold(s.right, leaf, full)
+    if isinstance(s, Implies):
+        return (full ^ _fold(s.left, leaf, full)) | _fold(s.right, leaf, full)
+    return leaf(s)
 
 
 class _Patterns:
@@ -101,19 +112,19 @@ class _Patterns:
         # bit i of _inhabiting[c] says whether pattern i inhabits cell c
         self._inhabiting = [int(d, 2) for d in digits]
 
-    def _cells(self, m: Matrix) -> int:
-        """Mask over cells: bit c says whether the matrix holds in cell c."""
-        if isinstance(m, Atom):
-            return self._atoms[m.predicate]
-        if isinstance(m, MNot):
-            return self._full_cells ^ self._cells(m.body)
-        if isinstance(m, MAnd):
-            return self._cells(m.left) & self._cells(m.right)
-        if isinstance(m, MOr):
-            return self._cells(m.left) | self._cells(m.right)
-        if isinstance(m, MImplies):
-            return (self._full_cells ^ self._cells(m.left)) | self._cells(m.right)
-        raise TypeError(f"not a matrix: {m!r}")
+    def _atom(self, s: Sentence) -> int:
+        """Mask over cells: bit c says whether the atom holds in cell c."""
+        if not isinstance(s, Atom):
+            raise TypeError(f"not a matrix: {s!r}")
+        return self._atoms[s.predicate]
+
+    def _quantified(self, s: Sentence) -> int:
+        if not isinstance(s, Quantified):
+            raise TypeError(f"not a sentence: {s!r}")
+        cells = _fold(s.matrix, self._atom, self._full_cells)
+        if s.quantifier == FORALL:
+            return self.all ^ self._some(self._full_cells ^ cells)
+        return self._some(cells)
 
     def _some(self, cells: int) -> int:
         """Mask over patterns: those inhabiting at least one of the cells."""
@@ -125,20 +136,7 @@ class _Patterns:
 
     def truth(self, s: Sentence) -> int:
         """Mask over patterns: bit i says whether the sentence holds in pattern i."""
-        if isinstance(s, Quantified):
-            cells = self._cells(s.matrix)
-            if s.quantifier == FORALL:
-                return self.all ^ self._some(self._full_cells ^ cells)
-            return self._some(cells)
-        if isinstance(s, Not):
-            return self.all ^ self.truth(s.body)
-        if isinstance(s, And):
-            return self.truth(s.left) & self.truth(s.right)
-        if isinstance(s, Or):
-            return self.truth(s.left) | self.truth(s.right)
-        if isinstance(s, Implies):
-            return (self.all ^ self.truth(s.left)) | self.truth(s.right)
-        raise TypeError(f"not a sentence: {s!r}")
+        return _fold(s, self._quantified, self.all)
 
     def evidence(self, ta: int, tb: int) -> Evidence:
         """The classification flags of two truth masks."""

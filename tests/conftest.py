@@ -5,10 +5,6 @@ from oppositions import (
     Atom,
     EXISTS,
     FORALL,
-    MAnd,
-    MImplies,
-    MNot,
-    MOr,
     And,
     Implies,
     Not,
@@ -59,10 +55,10 @@ def matrix_strategy(predicates=("P", "Q")):
     return st.recursive(
         atoms,
         lambda kids: st.one_of(
-            st.builds(MNot, kids),
-            st.builds(MAnd, kids, kids),
-            st.builds(MOr, kids, kids),
-            st.builds(MImplies, kids, kids),
+            st.builds(Not, kids),
+            st.builds(And, kids, kids),
+            st.builds(Or, kids, kids),
+            st.builds(Implies, kids, kids),
         ),
         max_leaves=5,
     )

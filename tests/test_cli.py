@@ -1,15 +1,20 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oppositions
+from oppositions import print_sentence
 from oppositions.cli import main
-from conftest import HEXAGON_CORPUS, SQUARE_CORPUS
+from conftest import HEXAGON_CORPUS, SQUARE_CORPUS, sentence_strategy
 
 
 @pytest.fixture()
@@ -256,11 +261,14 @@ class TestSynthesize:
 
 
 def with_corpus(tmp_path, corpus, argv):
-    """argv, plus a --corpus file holding the corpus text unless it is None."""
+    """argv, plus a --corpus file holding the corpus text or bytes unless it is None."""
     if corpus is None:
         return argv
     path = tmp_path / "input.corpus"
-    path.write_text(corpus + "\n", encoding="utf-8")
+    if isinstance(corpus, bytes):
+        path.write_bytes(corpus)
+    else:
+        path.write_text(corpus + "\n", encoding="utf-8")
     return (*argv, "--corpus", str(path))
 
 
@@ -310,12 +318,26 @@ class TestBoundErrors:
                     "exists x. P(x) & Q(x) & ~R(x) & ~S(x) & ~T(x)",
                 ),
             ),
+            (None, ("classify", "~" * 3000 + "A[P]", "I[P]")),
+            (None, ("classify", "(" * 1200 + "A[P]" + ")" * 1200, "I[P]")),
+            (None, ("classify", " & ".join(["A[P]"] * 3000), "I[P]")),
+            (None, ("classify", "forall x. " + "~" * 3000 + "P(x)", "I[P]")),
+            (None, ("classify", "forall x. " + "(" * 1200 + "P(x)" + ")" * 1200, "I[P]")),
+            ("A: I[P]\nB: forall x. " + " & ".join(["P(x)"] * 3000), ("graph",)),
+            (b"A: A[P]\nB: \xffI[P]\n", ("graph",)),
         ],
         ids=[
             "classify-bound-zero",
             "encode-bound-negative",
             "synthesize-magnitude-zero",
             "classify-too-many-patterns",
+            "deep-negation",
+            "deep-parentheses",
+            "long-conjunction",
+            "deep-matrix-negation",
+            "deep-matrix-parentheses",
+            "long-matrix-conjunction-in-corpus",
+            "corpus-not-utf8",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, corpus, argv):
@@ -324,6 +346,97 @@ class TestBoundErrors:
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert "error: " in done.stderr.splitlines()[-1]
+
+
+# --- fuzzing: argv and corpus bytes never escape the documented exit codes ---
+
+TOKENS = (
+    "A[P]", "E[Q]", "I[R]", "O[P]", "U[Q]", "Y[R]", "B[P]", "forall x.", "exists y.",
+    "P(x)", "Q(x)", "R(y)", "~", "&", "|", "->", "(", ")", ".", "[", "]", ":", "#",
+)
+SHAPES = (
+    lambda n, leaf: "~" * n + leaf,
+    lambda n, leaf: "(" * n + leaf + ")" * n,
+    lambda n, leaf: " & ".join([leaf] * n),
+)
+deep = st.builds(
+    lambda shape, n, level: level[0] + shape(n, level[1]),
+    st.sampled_from(SHAPES),
+    st.sampled_from((99, 100, 101, 150, 1200, 3000)),
+    st.sampled_from((("", "A[P]"), ("forall x. ", "P(x)"))),
+)
+sentence_text = st.one_of(
+    sentence_strategy(("P", "Q", "R")).map(print_sentence),
+    st.lists(st.sampled_from(TOKENS), max_size=8).map(" ".join),
+    deep,
+)
+corpus_line = st.builds("{}: {}".format, st.sampled_from("AEIOUYZ"), sentence_text)
+corpus_bytes = st.one_of(
+    st.sampled_from((SQUARE_CORPUS, HEXAGON_CORPUS)).map(str.encode),
+    st.lists(corpus_line, min_size=1, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=60),
+    st.tuples(st.sampled_from((SQUARE_CORPUS, HEXAGON_CORPUS)), st.binary(max_size=4)).map(
+        lambda pair: pair[0].encode() + pair[1]
+    ),
+)
+
+
+def number(low, high):
+    return st.integers(min_value=low, max_value=high).map(str)
+
+
+FORMATS = st.sampled_from(("structured", "dot", "text"))
+CLAUSES = st.sampled_from(("square", "hexagon"))
+FLAGS = {
+    "classify": {"--bound": number(-1, 4)},
+    "graph": {"--bound": number(-1, 4), "--format": FORMATS},
+    "encode": {
+        "--clauses": CLAUSES,
+        "--q": number(-2, 4),
+        "--r": number(-2, 4),
+        "--map": st.sampled_from(("a-low", "a-high")),
+        "--bound": number(-1, 4),
+        "--format": FORMATS,
+    },
+    "synthesize": {
+        "--clauses": CLAUSES,
+        "--magnitude": number(-1, 8),
+        "--bound": number(-1, 4),
+        "--format": FORMATS,
+    },
+}
+
+
+@st.composite
+def invocations(draw):
+    """argv without the corpus path, and the corpus bytes for commands that read one."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "classify":
+        argv += [draw(sentence_text), draw(sentence_text)]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[command])), unique=True)):
+        argv += [flag, draw(FLAGS[command][flag])]
+    return argv, None if command == "classify" else draw(corpus_bytes)
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(invocations())
+    def test_exit_code_is_documented(self, invocation):
+        argv, corpus = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if corpus is not None:
+                path = Path(tmp) / "input.corpus"
+                path.write_bytes(corpus)
+                argv = [*argv, "--corpus", str(path)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as done:  # argparse rejects the argv
+                    code = done.code
+        assert code in range(6)
+        assert "Traceback" not in err.getvalue()
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -9,7 +9,6 @@ from oppositions import (
     EXISTENTIAL_ONLY,
     Atom,
     And,
-    MNot,
     Not,
     Or,
     Quantified,
@@ -28,21 +27,21 @@ class TestMakeCategorical:
 
     def test_i_universal_only_is_negated_universal(self):
         assert make_categorical("I", "P", UNIVERSAL_ONLY) == Not(
-            Quantified(FORALL, MNot(P))
+            Quantified(FORALL, Not(P))
         )
 
     def test_y_mixed_is_conjunction_of_i_and_o(self):
-        expected = And(Quantified(EXISTS, P), Quantified(EXISTS, MNot(P)))
+        expected = And(Quantified(EXISTS, P), Quantified(EXISTS, Not(P)))
         assert make_categorical("Y", "P", MIXED) == expected
 
     def test_mixed_table(self):
-        assert make_categorical("E", "P") == Quantified(FORALL, MNot(P))
+        assert make_categorical("E", "P") == Quantified(FORALL, Not(P))
         assert make_categorical("I", "P") == Quantified(EXISTS, P)
-        assert make_categorical("O", "P") == Quantified(EXISTS, MNot(P))
+        assert make_categorical("O", "P") == Quantified(EXISTS, Not(P))
 
     def test_existential_only_table(self):
         assert make_categorical("A", "P", EXISTENTIAL_ONLY) == Not(
-            Quantified(EXISTS, MNot(P))
+            Quantified(EXISTS, Not(P))
         )
         assert make_categorical("E", "P", EXISTENTIAL_ONLY) == Not(Quantified(EXISTS, P))
 

@@ -5,9 +5,6 @@ from oppositions import (
     EXISTS,
     FORALL,
     Atom,
-    MAnd,
-    MNot,
-    MOr,
     And,
     Implies,
     Not,
@@ -18,7 +15,9 @@ from oppositions import (
     parse_corpus,
     parse_sentence,
     print_sentence,
+    sentence_predicates,
 )
+from oppositions.parser import MAX_DEPTH
 from conftest import sentence_strategy
 
 P = Atom("P")
@@ -30,11 +29,11 @@ class TestSentences:
         assert parse_sentence("A[P]") == Quantified(FORALL, P)
 
     def test_negated_universal(self):
-        assert parse_sentence("~forall x. ~P(x)") == Not(Quantified(FORALL, MNot(P)))
+        assert parse_sentence("~forall x. ~P(x)") == Not(Quantified(FORALL, Not(P)))
 
     def test_u_sugar(self):
         assert parse_sentence("U[P]") == Or(
-            Quantified(FORALL, P), Quantified(FORALL, MNot(P))
+            Quantified(FORALL, P), Quantified(FORALL, Not(P))
         )
 
     def test_all_sugar_tags(self):
@@ -43,13 +42,13 @@ class TestSentences:
 
     def test_quantifier_body_extends_maximally(self):
         assert parse_sentence("forall x. P(x) & Q(x)") == Quantified(
-            FORALL, MAnd(P, Q)
+            FORALL, And(P, Q)
         )
 
     def test_matrix_precedence(self):
         # & binds tighter than |
         assert parse_sentence("exists x. P(x) | Q(x) & P(x)") == Quantified(
-            EXISTS, MOr(P, MAnd(Q, P))
+            EXISTS, Or(P, And(Q, P))
         )
 
     def test_sentence_precedence(self):
@@ -106,6 +105,57 @@ class TestSentenceErrors:
     def test_unbalanced_parenthesis(self):
         with pytest.raises(ParseError):
             parse_sentence("(A[P] & E[P]")
+
+
+def nested(shape, depth, leaf):
+    """``leaf`` under ``depth`` levels of one shape; the crossing token's symbol."""
+    if shape == "negation":
+        return "~" * depth + leaf, "~"
+    if shape == "parentheses":
+        return "(" * depth + leaf + ")" * depth, "("
+    return " & ".join([leaf] * (depth + 1)), "&"
+
+
+class TestNestingLimit:
+    SHAPES = ("negation", "parentheses", "conjunction")
+    LEVELS = [("", "A[P]"), ("forall x. ", "P(x)")]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("prefix,leaf", LEVELS, ids=["sentence", "matrix"])
+    def test_limit_parses_and_round_trips(self, shape, prefix, leaf):
+        text, _ = nested(shape, MAX_DEPTH, leaf)
+        tree = parse_sentence(prefix + text)
+        assert sentence_predicates(tree) == ("P",)
+        assert parse_sentence(print_sentence(tree)) == tree
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("prefix,leaf", LEVELS, ids=["sentence", "matrix"])
+    def test_past_limit_fails_at_crossing_token(self, shape, prefix, leaf):
+        text, symbol = nested(shape, MAX_DEPTH + 1, leaf)
+        text = prefix + text
+        col = 0
+        for _ in range(MAX_DEPTH + 1):
+            col = text.index(symbol, col) + 1
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH}") as err:
+            parse_sentence(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_parentheses_count_apart_from_connectives(self):
+        tree = parse_sentence("(~" * MAX_DEPTH + "A[P]" + ")" * MAX_DEPTH)
+        assert parse_sentence(print_sentence(tree)) == tree
+
+    def test_deep_right_operand_counts_for_later_connectives(self):
+        chain, _ = nested("conjunction", MAX_DEPTH - 1, "A[P]")
+        parse_sentence(f"A[P] & ({chain})")
+        with pytest.raises(ParseError, match="nesting") as err:
+            parse_sentence(f"A[P] & ({chain}) & A[P]")
+        assert err.value.col == len(f"A[P] & ({chain}) ") + 1
+
+    def test_connectives_count_across_the_quantifier(self):
+        chain, _ = nested("conjunction", MAX_DEPTH, "P(x)")
+        with pytest.raises(ParseError, match="nesting") as err:
+            parse_sentence("~forall x. " + chain)
+        assert err.value.col == len("~forall x. " + chain) - len("& P(x)") + 1
 
 
 class TestCorpus:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppositions import (
+    EXISTS,
     FORALL,
     FORMS,
     REPRESENTATIONS,
@@ -16,11 +17,6 @@ from oppositions import (
     Corpus,
     Evidence,
     Implies,
-    MAnd,
-    MImplies,
-    MNot,
-    MOr,
-    Matrix,
     Not,
     Or,
     Quantified,
@@ -82,7 +78,7 @@ def enumerate_models(vocab: Vocabulary, max_size: int) -> Iterator[Model]:
             yield Model(n, dict(zip(vocab.predicates, extensions)))
 
 
-def _eval_matrix(m: Matrix, model: Model, element: int) -> bool:
+def _eval_matrix(m: Sentence, model: Model, element: int) -> bool:
     if isinstance(m, Atom):
         try:
             return element in model.extensions[m.predicate]
@@ -90,13 +86,13 @@ def _eval_matrix(m: Matrix, model: Model, element: int) -> bool:
             raise VocabularyMismatchError(
                 f"predicate {m.predicate!r} not in the model vocabulary"
             ) from None
-    if isinstance(m, MNot):
+    if isinstance(m, Not):
         return not _eval_matrix(m.body, model, element)
-    if isinstance(m, MAnd):
+    if isinstance(m, And):
         return _eval_matrix(m.left, model, element) and _eval_matrix(m.right, model, element)
-    if isinstance(m, MOr):
+    if isinstance(m, Or):
         return _eval_matrix(m.left, model, element) or _eval_matrix(m.right, model, element)
-    if isinstance(m, MImplies):
+    if isinstance(m, Implies):
         return not _eval_matrix(m.left, model, element) or _eval_matrix(
             m.right, model, element
         )
@@ -192,6 +188,19 @@ class TestEvaluate:
             Model(0, {"P": frozenset()})
         with pytest.raises(ValueError):
             Model(1, {"P": frozenset({3})})
+
+
+class TestLeafGuards:
+    """Atoms and quantifiers share one node family; each level refuses the other's leaf."""
+
+    def test_atom_outside_a_quantifier(self):
+        with pytest.raises(TypeError, match="not a sentence"):
+            classify(Atom("P"), sent("A[P]"))
+
+    def test_quantifier_inside_a_matrix(self):
+        nested = Quantified(FORALL, Quantified(EXISTS, Atom("P")))
+        with pytest.raises(TypeError, match="not a matrix"):
+            classify(nested, sent("A[P]"))
 
 
 class TestClassify:
