@@ -60,7 +60,6 @@ from .segment import (
     CLAUSES,
     ClauseSystem,
     Mismatch,
-    Polarity,
     Role,
     SegmentAssignment,
     ShapeError,

@@ -7,13 +7,16 @@ Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
 result); 2 parse or input error; 3 vocabulary mismatch; 4 a corpus or
 roles of a shape the command or its clauses cannot take; 5 verification
-mismatch.  Stdout carries only payload; diagnostics go to stderr.
+mismatch; 141 (128 + SIGPIPE) stdout closed before the payload was
+written, as under ``| head -1``, with nothing on stderr.  Stdout carries
+only payload; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -54,6 +57,7 @@ EXIT_PARSE = 2
 EXIT_VOCAB = 3
 EXIT_SHAPE = 4
 EXIT_MISMATCH = 5
+EXIT_BROKEN_PIPE = 141
 
 
 class _CliError(Exception):
@@ -349,7 +353,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         "synthesize": _cmd_synthesize,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush
+        # at interpreter exit has nowhere left to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

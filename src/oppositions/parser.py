@@ -16,10 +16,12 @@ quantifier body extends as far as possible.  Sugar tags expand at parse
 time through the mixed representation, so later stages only ever see
 plain sentences.  Parentheses may nest at most ``MAX_DEPTH`` deep, and
 at most ``MAX_DEPTH`` connectives may sit above any atom or quantifier,
-so the parser and every recursive walk over a parsed tree stay shallow.
+so the parser and every recursive walk over a parsed tree stay shallow;
+a sugar tag counts the connectives of its expansion.
 
 Corpus files are line oriented: one ``label: sentence`` entry per line,
-``#`` starts a comment, blank lines are skipped.
+``#`` starts a comment, blank lines are skipped.  A label is printable
+and has no whitespace.
 """
 
 from __future__ import annotations
@@ -216,7 +218,10 @@ class _Parser:
                 self.advance()
                 pred = self._predicate_name()
                 self.expect("]")
-                return make_categorical(tok.text, pred)
+                sugar = make_categorical(tok.text, pred)
+                # the expansion's own connectives sit above its leaves too
+                self.reach = self._deeper(self.depth + _connectives(sugar), tok)
+                return sugar
             if after is not None and after.text == "(":
                 raise ParseError(
                     f"atom {tok.text!r} outside a quantifier leaves its variable free",
@@ -236,6 +241,18 @@ class _Parser:
         if not tok.text[0].isalpha() or not tok.text[0].isupper():
             raise ParseError(f"expected a predicate name, found {tok.text!r}", tok.line, tok.col)
         return tok.text
+
+
+def _connectives(s: Sentence) -> int:
+    """The most connectives above any leaf of a sugar expansion, counted
+    across its quantifiers."""
+    if isinstance(s, Atom):
+        return 0
+    if isinstance(s, Quantified):
+        return _connectives(s.matrix)
+    if isinstance(s, Not):
+        return 1 + _connectives(s.body)
+    return 1 + max(_connectives(s.left), _connectives(s.right))
 
 
 def parse_sentence(text: str, *, line: int = 1, col_offset: int = 0) -> Sentence:
@@ -262,7 +279,7 @@ def parse_corpus(text: str) -> Corpus:
             raise ParseError("expected 'label: sentence'", lineno, 1)
         label_part, sentence_part = content.split(":", 1)
         label = label_part.strip()
-        if not label or any(ch.isspace() for ch in label):
+        if not label or not label.isprintable() or any(ch.isspace() for ch in label):
             raise ParseError(f"invalid label {label_part.strip()!r}", lineno, 1)
         if label in seen:
             raise ParseError(f"duplicate label {label!r}", lineno, 1)

@@ -1,10 +1,11 @@
 """Integer line-segment encodings of opposition structures.
 
 Labels are assigned distinct nonzero integers on a symmetric support
-(every value appears with its negation).  Polarity follows the statement
-kind: universal statements and disjunctions sit on the positive side,
-existential statements and conjunctions on the negative side.  Relations
-are then decoded from sign, sum-to-zero, and order conditions alone.
+(every value appears with its negation).  A label's polarity is the sign
+of its value, and the statement kind fixes it: universal statements and
+disjunctions take positive values, existential statements and
+conjunctions negative ones.  Relations are then decoded from sign,
+sum-to-zero, and order conditions alone.
 
 Two clause systems exist, each one ordered table of rows in ``CLAUSES``.
 The square system decides every pair by contradiction (sum zero),
@@ -13,7 +14,8 @@ subalternation (toward the negative member).  The hexagon system
 replaces the sign rows for contrariety and subcontrariety with zero-sum
 triples completed by a distinct object, and puts an order row for
 same-signed pairs before the square's subalternation row.  Decoding
-takes the first relation fired, so every pair receives exactly one.
+takes the first relation fired, so every pair receives exactly one;
+decoding and synthesis share that one pair scan.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .graph import (
     OppositionGraph,
     Relation,
     SCHEMA_VERSION,
-    graph_equal,
     subaltern,
 )
 
@@ -46,17 +47,8 @@ class Role(Enum):
     CONJUNCTION = "conjunction"
 
 
-class Polarity(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
-_ROLE_POLARITY = {
-    Role.UNIVERSAL: Polarity.POSITIVE,
-    Role.DISJUNCTION: Polarity.POSITIVE,
-    Role.EXISTENTIAL: Polarity.NEGATIVE,
-    Role.CONJUNCTION: Polarity.NEGATIVE,
-}
+# the roles whose values are positive; the others take negative values
+_POSITIVE_ROLES = frozenset({Role.UNIVERSAL, Role.DISJUNCTION})
 
 _DUAL_ROLE = {
     Role.UNIVERSAL: Role.EXISTENTIAL,
@@ -64,16 +56,6 @@ _DUAL_ROLE = {
     Role.DISJUNCTION: Role.CONJUNCTION,
     Role.CONJUNCTION: Role.DISJUNCTION,
 }
-
-
-def role_polarity(role: Role) -> Polarity:
-    return _ROLE_POLARITY[role]
-
-
-def value_polarity(value: int) -> Polarity:
-    if value == 0:
-        raise ValueError("assigned integers are never zero")
-    return Polarity.POSITIVE if value > 0 else Polarity.NEGATIVE
 
 
 class ClauseSystem(Enum):
@@ -115,7 +97,7 @@ class SegmentAssignment:
         if {-v for v in assigned} != set(assigned):
             raise AssignmentError("support must contain the negation of every value")
         for label in self.labels:
-            if value_polarity(self.values[label]) is not role_polarity(self.roles[label]):
+            if (self.values[label] > 0) != (self.roles[label] in _POSITIVE_ROLES):
                 raise AssignmentError(
                     f"label {label!r} has role {self.roles[label].value} but value "
                     f"{self.values[label]}"
@@ -205,27 +187,33 @@ def extend_hexagon(
 # --- the clause tables ---
 
 
-def _zero_sum_triple(e: SegmentAssignment, member_role: Role, completing: Role) -> frozenset:
-    members = e.labels_with_role(member_role)
-    completer = e.labels_with_role(completing)
-    triple = frozenset(members + completer)
-    if len(triple) == 3 and sum(e.value(label) for label in triple) == 0:
-        return triple
-    return frozenset()
+Triples = tuple[frozenset, frozenset]  # the contrary, then the subcontrary triple
+# each triple's member role and the role of the distinct object completing it
+_TRIPLE_ROLES = ((Role.UNIVERSAL, Role.CONJUNCTION), (Role.EXISTENTIAL, Role.DISJUNCTION))
+
+
+def _triples(values: Mapping[str, int], with_role: Callable[[Role], tuple[str, ...]]) -> Triples:
+    """Each triple of member labels and completing distinct object, or the
+    empty set where there are not three such labels summing to zero."""
+    triples = []
+    for members, completing in _TRIPLE_ROLES:
+        triple = frozenset(with_role(members) + with_role(completing))
+        zero_sum = len(triple) == 3 and sum(values[label] for label in triple) == 0
+        triples.append(triple if zero_sum else frozenset())
+    return tuple(triples)
 
 
 def contrary_triple(e: SegmentAssignment) -> frozenset:
     """Universal labels plus the negative distinct object, when they sum
     to zero; pairwise contrary by the hexagon clauses."""
-    return _zero_sum_triple(e, Role.UNIVERSAL, Role.CONJUNCTION)
+    return _triples(e.values, e.labels_with_role)[0]
 
 
 def subcontrary_triple(e: SegmentAssignment) -> frozenset:
     """Existential labels plus the positive distinct object."""
-    return _zero_sum_triple(e, Role.EXISTENTIAL, Role.DISJUNCTION)
+    return _triples(e.values, e.labels_with_role)[1]
 
 
-Triples = tuple[frozenset, frozenset]  # the contrary, then the subcontrary triple
 Fired = tuple[Relation, ...]
 # One table row: from a pair's labels and values and the assignment's
 # triples, the relations the row fires for the pair, in either direction.
@@ -279,7 +267,7 @@ def _check_shape(roles: Mapping[str, Role], cs: ClauseSystem) -> None:
     with these roles: a symmetric support needs as many positive as
     negative labels, and the hexagon rows need the hexagon's six roles."""
     counts = Counter(roles.values())
-    positives = sum(n for r, n in counts.items() if role_polarity(r) is Polarity.POSITIVE)
+    positives = sum(n for r, n in counts.items() if r in _POSITIVE_ROLES)
     if 2 * positives != len(roles):
         raise ShapeError("a symmetric support needs as many positive as negative labels")
     if cs is ClauseSystem.HEXAGON and counts != _HEXAGON_ROLE_COUNTS:
@@ -289,35 +277,37 @@ def _check_shape(roles: Mapping[str, Role], cs: ClauseSystem) -> None:
         )
 
 
-def _rows_and_triples(e: SegmentAssignment, cs: ClauseSystem) -> tuple[Rows, Triples]:
-    _check_shape(e.roles, cs)
-    return CLAUSES[cs], (contrary_triple(e), subcontrary_triple(e))
-
-
 def clause_matches(e: SegmentAssignment, cs: ClauseSystem, a: str, b: str) -> Fired:
     """Every relation the rows of ``CLAUSES[cs]`` fire for the pair, in
     table order and without precedence, so a subalternation row can
     appear alongside contrariety or subcontrariety."""
     if a == b:
         raise AssignmentError("relations hold between distinct labels")
-    rows, triples = _rows_and_triples(e, cs)
+    _check_shape(e.roles, cs)
+    triples = _triples(e.values, e.labels_with_role)
     va, vb = e.value(a), e.value(b)
-    return tuple(relation for row in rows for relation in row(a, va, b, vb, triples))
+    return tuple(relation for row in CLAUSES[cs] for relation in row(a, va, b, vb, triples))
+
+
+def _decode_pair(rows: Rows, a: str, va: int, b: str, vb: int, triples: Triples) -> Relation:
+    """The first relation the rows fire for the pair; the last rows of
+    each table fire for every pair the earlier ones leave over."""
+    for row in rows:
+        fired = row(a, va, b, vb, triples)
+        if fired:
+            return fired[0]
 
 
 def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
     """Decode every unordered pair to the first relation fired, scanning
     the rows of ``CLAUSES[cs]`` in order.  The hexagon rows need the two
     distinct objects, so they require the six-label hexagon shape."""
-    rows, triples = _rows_and_triples(e, cs)
-    edges = {}
-    for a, b in combinations(e.labels, 2):
-        va, vb = e.values[a], e.values[b]
-        for row in rows:
-            fired = row(a, va, b, vb, triples)
-            if fired:
-                edges[frozenset((a, b))] = fired[0]
-                break
+    _check_shape(e.roles, cs)
+    rows, triples = CLAUSES[cs], _triples(e.values, e.labels_with_role)
+    edges = {
+        frozenset((a, b)): _decode_pair(rows, a, e.values[a], b, e.values[b], triples)
+        for a, b in combinations(e.labels, 2)
+    }
     return OppositionGraph(e.labels, edges)
 
 
@@ -400,20 +390,20 @@ def synthesize(
     if set(roles) != set(labels):
         raise ValueError("roles must cover exactly the target labels")
     _check_shape(roles, cs)
-    positive_labels = tuple(
-        l for l in labels if role_polarity(roles[l]) is Polarity.POSITIVE
-    )
-    negative_labels = tuple(
-        l for l in labels if role_polarity(roles[l]) is Polarity.NEGATIVE
-    )
+    positive_labels = tuple(l for l in labels if roles[l] in _POSITIVE_ROLES)
+    negative_labels = tuple(l for l in labels if roles[l] not in _POSITIVE_ROLES)
+    with_role = {role: tuple(l for l in labels if roles[l] is role) for role in Role}
     sums = ()  # each distinct object with the labels it must be the sum of
     if cs is ClauseSystem.HEXAGON:
-        with_role = {role: [l for l in labels if roles[l] is role] for role in Role}
         sums = (
             (with_role[Role.DISJUNCTION][0], with_role[Role.UNIVERSAL]),
             (with_role[Role.CONJUNCTION][0], with_role[Role.EXISTENTIAL]),
         )
+    rows, pairs = CLAUSES[cs], tuple(target.pairs())
 
+    # Each candidate is checked on its plain values, pair by pair, up to
+    # the first mismatch; the enumeration already gives every candidate
+    # the invariants a SegmentAssignment checks.
     found: list[SegmentAssignment] = []
     for magnitudes in combinations(range(1, magnitude_bound + 1), len(positive_labels)):
         negatives = sorted(-m for m in magnitudes)
@@ -423,14 +413,17 @@ def synthesize(
                 values.update(zip(negative_labels, negative_row))
                 if any(values[d] != sum(values[l] for l in of) for d, of in sums):
                     continue
-                candidate = SegmentAssignment(labels, values, dict(roles))
-                if graph_equal(decode_graph(candidate, cs), target):
-                    found.append(candidate)
+                triples = _triples(values, with_role.__getitem__)
+                for a, b, relation in pairs:
+                    if _decode_pair(rows, a, values[a], b, values[b], triples) != relation:
+                        break
+                else:
+                    found.append(SegmentAssignment(labels, values, dict(roles)))
     return found
 
 
 def infer_role(s: Sentence) -> Role | None:
-    """Polarity role of a sentence from its top-level syntax.
+    """Role of a sentence, which fixes the sign of its value, from its top-level syntax.
 
     Universal quantifications are universal statements, existential ones
     existential; negation dualizes; disjunctions and conjunctions are the

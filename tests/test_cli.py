@@ -272,16 +272,25 @@ def with_corpus(tmp_path, corpus, argv):
     return (*argv, "--corpus", str(path))
 
 
-def run_child(tmp_path, corpus, argv):
-    """Run the CLI in a child process, so an uncaught exception shows its traceback."""
-    argv = with_corpus(tmp_path, corpus, argv)
+CHILD = [sys.executable, "-m", "oppositions"]
+
+
+def child_env(**extra):
     src = str(Path(oppositions.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
+def run_child(tmp_path, corpus, argv, env=None, **options):
+    """Run the CLI in a child process, so an uncaught exception shows its
+    traceback; ``options`` go to subprocess.run."""
+    argv = with_corpus(tmp_path, corpus, argv)
     return subprocess.run(
-        [sys.executable, "-m", "oppositions", *argv],
+        [*CHILD, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=env or child_env(),
         timeout=60,
+        **options,
     )
 
 
@@ -346,6 +355,42 @@ class TestBoundErrors:
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert "error: " in done.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "label", ["\udcffB", "B\x07"], ids=["surrogate-escaped-stdin", "control-character"]
+    )
+    def test_unprintable_label_from_stdin(self, tmp_path, label):
+        # surrogateescape stdin turns a stray byte into a lone surrogate
+        done = run_child(
+            tmp_path,
+            None,
+            ("graph", "--corpus", "-", "--format", "structured"),
+            env=child_env(PYTHONIOENCODING="utf-8:surrogateescape"),
+            input=f"A: A[P]\n{label}: I[P]\n",
+            errors="surrogateescape",
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and "invalid label" in done.stderr
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_141_quietly(self, tmp_path):
+        # 80 labels give 3,160 pairs, far more than a pipe buffer holds
+        corpus = "\n".join(f"L{i}: A[P]" for i in range(80))
+        argv = with_corpus(tmp_path, corpus, ("graph", "--format", "structured"))
+        child = subprocess.Popen(
+            [*CHILD, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 141
+        assert err == b""
 
 
 # --- fuzzing: argv and corpus bytes never escape the documented exit codes ---

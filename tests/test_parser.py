@@ -140,6 +140,17 @@ class TestNestingLimit:
             parse_sentence(text)
         assert (err.value.line, err.value.col) == (1, col)
 
+    # the connectives each sugar tag expands to: U, Y two; E, O one
+    @pytest.mark.parametrize("tag,inside", [*zip("AIEOUY", (0, 0, 1, 1, 2, 2))])
+    def test_sugar_counts_its_expansion(self, tag, inside):
+        negations = MAX_DEPTH - inside
+        tree = parse_sentence("~" * negations + f"{tag}[P]")
+        assert parse_sentence(print_sentence(tree)) == tree
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH}") as err:
+            parse_sentence("~" * (negations + 1) + f"{tag}[P]")
+        # the sugar tag crosses the limit unless a negation already did
+        assert (err.value.line, err.value.col) == (1, min(negations + 2, MAX_DEPTH + 1))
+
     def test_parentheses_count_apart_from_connectives(self):
         tree = parse_sentence("(~" * MAX_DEPTH + "A[P]" + ")" * MAX_DEPTH)
         assert parse_sentence(print_sentence(tree)) == tree
@@ -200,6 +211,12 @@ class TestCorpus:
     def test_label_with_whitespace_rejected(self):
         with pytest.raises(ParseError, match="invalid label"):
             parse_corpus("two words: A[P]")
+
+    @pytest.mark.parametrize("label", ["\udcffB", "B\x07"], ids=["surrogate", "control"])
+    def test_unprintable_label_rejected(self, label):
+        with pytest.raises(ParseError, match="invalid label") as err:
+            parse_corpus(f"A: A[P]\n{label}: A[P]")
+        assert err.value.line == 2
 
     def test_missing_colon(self):
         with pytest.raises(ParseError, match="label"):

@@ -355,6 +355,14 @@ class TestSynthesize:
         with pytest.raises(ShapeError):
             synthesize(oracle_square, HEXAGON, 3, SQUARE_ROLES)
 
+    def test_rejected_candidates_build_nothing(self, monkeypatch, oracle_hexagon):
+        # square clauses reject every hexagon candidate
+        built = []
+        monkeypatch.setattr(SegmentAssignment, "__post_init__", lambda self: built.append(self))
+        monkeypatch.setattr("oppositions.segment.OppositionGraph", lambda *args: built.append(args))
+        assert synthesize(oracle_hexagon, SQUARE, 6, HEXAGON_ROLES) == []
+        assert built == []
+
 
 # The precedence decoders as first written, one pair at a time and
 # independent of the clause tables; frozen here as the reference the
@@ -428,6 +436,85 @@ class TestAgainstReferenceDecoders:
                 assert clause_matches(e, SQUARE, a, b) == _reference_square_matches(
                     e, a, b
                 ), (values_of(e), a, b)
+
+
+# The bounded synthesizer as first written: each candidate built as a
+# SegmentAssignment, decoded whole and compared with graph_equal; frozen
+# here as the reference the pair-by-pair search must reproduce.
+
+POSITIVE_ROLES = (Role.UNIVERSAL, Role.DISJUNCTION)
+
+
+def _reference_synthesize(target, cs, magnitude_bound, roles):
+    labels = target.nodes
+    positive_labels = tuple(l for l in labels if roles[l] in POSITIVE_ROLES)
+    negative_labels = tuple(l for l in labels if roles[l] not in POSITIVE_ROLES)
+    sums = ()
+    if cs is HEXAGON:
+        with_role = {role: [l for l in labels if roles[l] is role] for role in Role}
+        sums = (
+            (with_role[Role.DISJUNCTION][0], with_role[Role.UNIVERSAL]),
+            (with_role[Role.CONJUNCTION][0], with_role[Role.EXISTENTIAL]),
+        )
+    found = []
+    for magnitudes in itertools.combinations(range(1, magnitude_bound + 1), len(positive_labels)):
+        negatives = sorted(-m for m in magnitudes)
+        for positive_row in itertools.permutations(magnitudes):
+            for negative_row in itertools.permutations(negatives):
+                values = dict(zip(positive_labels, positive_row))
+                values.update(zip(negative_labels, negative_row))
+                if any(values[d] != sum(values[l] for l in of) for d, of in sums):
+                    continue
+                candidate = SegmentAssignment(labels, values, dict(roles))
+                if graph_equal(decode_graph(candidate, cs), target):
+                    found.append(candidate)
+    return found
+
+
+@st.composite
+def decoded_targets(draw):
+    """A clause system and the graph it decodes from a random six-label
+    candidate in that system's search space at M <= 7, with the labels in
+    a random order; the candidate itself and a bound it fits under."""
+    cs = draw(st.sampled_from((SQUARE, HEXAGON)))
+    labels = tuple(draw(st.permutations("AEIOUY")))
+    if cs is HEXAGON:
+        a = draw(st.integers(1, 6))
+        e = draw(st.integers(1, 7 - a).filter(lambda v: v != a))
+        i, o = draw(st.permutations((-a, -e)))
+        values = {"A": a, "E": e, "U": a + e, "I": i, "O": o, "Y": -a - e}
+    else:
+        magnitudes = draw(st.lists(st.integers(1, 7), min_size=3, max_size=3, unique=True))
+        positive = draw(st.permutations(magnitudes))
+        negative = draw(st.permutations([-m for m in magnitudes]))
+        values = dict(zip("AEU", positive)) | dict(zip("IOY", negative))
+    candidate = SegmentAssignment(labels, values, HEXAGON_ROLES)
+    bound = draw(st.integers(max(map(abs, values.values())), 7))
+    return cs, decode_graph(candidate, cs), candidate, bound
+
+
+class TestAgainstReferenceSynthesize:
+    @pytest.mark.parametrize("cs", [SQUARE, HEXAGON], ids=["square", "hexagon"])
+    @pytest.mark.parametrize("corpus", ["square", "hexagon"])
+    def test_paper_graphs(self, request, cs, corpus):
+        target = request.getfixturevalue(f"oracle_{corpus}")
+        roles = {label: HEXAGON_ROLES[label] for label in target.nodes}
+        for bound in range(1, 9):
+            if cs is HEXAGON and corpus == "square":
+                with pytest.raises(ShapeError):
+                    synthesize(target, cs, bound, roles)
+                continue
+            found = synthesize(target, cs, bound, roles)
+            assert found == _reference_synthesize(target, cs, bound, roles), bound
+
+    @settings(max_examples=25, deadline=None)
+    @given(decoded_targets())
+    def test_decoded_targets(self, case):
+        cs, target, candidate, bound = case
+        roles = dict(candidate.roles)
+        found = synthesize(target, cs, bound, roles)
+        assert found == _reference_synthesize(target, cs, bound, roles)
+        assert values_of(candidate) in [values_of(e) for e in found]
 
 
 class TestInferRole:
