@@ -1,20 +1,16 @@
 """Oppositions between quantified sentences, by semantics and by integer segments.
 
 The package classifies pairs of monadic first-order sentences into the
-classical opposition relations by checking every inhabited-cell pattern
-(the set of predicate cells a finite model inhabits) up to a bound, and
-encodes the square of oppositions and its hexagonal extension as
-assignments of integers on a one-dimensional segment, where the
-relations are recovered from sign, sum, and order conditions.
+classical opposition relations by checking every truth vector of their
+quantifier leaves that a model within the bound realizes, and encodes
+the square of oppositions and its hexagonal extension as assignments of
+integers on a one-dimensional segment, where the relations are recovered
+from sign, sum, and order conditions.
 """
 
 from .formula import (
     FORALL,
     EXISTS,
-    FORMS,
-    MIXED,
-    UNIVERSAL_ONLY,
-    EXISTENTIAL_ONLY,
     REPRESENTATIONS,
     Atom,
     And,
@@ -32,7 +28,6 @@ from .parser import Corpus, ParseError, parse_corpus, parse_sentence
 from .graph import (
     CONTRADICTORY,
     CONTRARY,
-    EQUIVALENT,
     SUBCONTRARY,
     UNCONNECTED,
     OppositionGraph,
@@ -51,19 +46,15 @@ from .semantics import (
     build_graph,
     classification_evidence,
     classify,
-    default_bound,
 )
 from .segment import (
     A_HIGH,
     A_LOW,
     AssignmentError,
-    CLAUSES,
     ClauseSystem,
-    Mismatch,
     Role,
     SegmentAssignment,
     ShapeError,
-    VerificationReport,
     clause_matches,
     contrary_triple,
     decode_graph,

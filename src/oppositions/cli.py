@@ -7,9 +7,10 @@ Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
 result); 2 parse or input error; 3 vocabulary mismatch; 4 a corpus or
 roles of a shape the command or its clauses cannot take; 5 verification
-mismatch; 141 (128 + SIGPIPE) stdout closed before the payload was
-written, as under ``| head -1``, with nothing on stderr.  Stdout carries
-only payload; diagnostics go to stderr.
+mismatch; 70 (EX_SOFTWARE) a bug escaped every other handler; 141
+(128 + SIGPIPE) stdout closed before the payload was written, as under
+``| head -1``, with nothing on stderr.  Stdout carries only payload;
+diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .segment import (
     synthesize,
     verify_against,
 )
-from .semantics import VocabularyMismatchError, build_graph, classify
+from .semantics import VocabularyMismatchError, build_graph, classify, exact_bound
 
 EXIT_OK = 0
 EXIT_NO_RESULTS = 1
@@ -57,6 +58,7 @@ EXIT_PARSE = 2
 EXIT_VOCAB = 3
 EXIT_SHAPE = 4
 EXIT_MISMATCH = 5
+EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
 
 
@@ -93,7 +95,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     classify_p.add_argument("a", help="first sentence, e.g. 'A[P]' or 'forall x. P(x)'")
     classify_p.add_argument("b", help="second sentence")
     classify_p.add_argument(
-        "--bound", type=_positive_int, default=None, help="domain-size bound (default 2^k)"
+        "--bound", type=_positive_int, default=None, help="domain-size bound (default: exact)"
     )
 
     graph_p = sub.add_parser("graph", help="build the opposition graph of a corpus")
@@ -224,6 +226,20 @@ def _clause_system(flag: str | None, fallback: ClauseSystem) -> ClauseSystem:
     return ClauseSystem(flag)
 
 
+def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
+    if bound is not None and bound < (exact := exact_bound(sentences)):
+        print(f"note: --bound {bound} is below {exact}, the least exact bound", file=sys.stderr)
+
+
+def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
+    try:
+        graph = build_graph(corpus, bound)
+    except ValueError as err:
+        raise _CliError(str(err), EXIT_PARSE) from None
+    _note_if_cut_short(bound, [s for _, s in corpus.entries])
+    return graph
+
+
 def _relation_line(a: str, b: str, relation) -> str:
     return f"{a} {b} {relation.text()}"
 
@@ -237,6 +253,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise _CliError(str(err), EXIT_VOCAB) from None
     except ValueError as err:
         raise _CliError(str(err), EXIT_PARSE) from None
+    _note_if_cut_short(args.bound, [a, b])
     print(relation.text())
     return EXIT_OK
 
@@ -246,11 +263,7 @@ def _graph_text(graph: OppositionGraph) -> str:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.corpus)
-    try:
-        graph = build_graph(corpus, args.bound)
-    except ValueError as err:
-        raise _CliError(str(err), EXIT_PARSE) from None
+    graph = _corpus_graph(_read_corpus(args.corpus), args.bound)
     if args.format == "structured":
         print(to_structured(graph))
     elif args.format == "dot":
@@ -281,7 +294,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         args.clauses,
         ClauseSystem.HEXAGON if shape == "hexagon" else ClauseSystem.SQUARE,
     )
-    semantic = build_graph(corpus, args.bound)
+    semantic = _corpus_graph(corpus, args.bound)
     report = verify_against(assignment, clauses, semantic)
 
     if args.format == "structured":
@@ -315,10 +328,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.corpus)
     roles = _corpus_roles(corpus)
-    try:
-        target = build_graph(corpus, args.bound)
-    except ValueError as err:
-        raise _CliError(str(err), EXIT_PARSE) from None
+    target = _corpus_graph(corpus, args.bound)
     has_hexagon_roles = Role.DISJUNCTION in roles.values()
     clauses = _clause_system(
         args.clauses, ClauseSystem.HEXAGON if has_hexagon_roles else ClauseSystem.SQUARE
@@ -369,6 +379,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ShapeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SHAPE
+    except Exception as err:  # the last resort: a bug, never a traceback
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

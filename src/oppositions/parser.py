@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .formula import (
     BINARY_CONNECTIVES,
@@ -71,11 +72,12 @@ class Corpus:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.entries)
 
+    @cached_property
+    def _by_label(self) -> dict[str, Sentence]:
+        return dict(self.entries)
+
     def sentence(self, label: str) -> Sentence:
-        for name, s in self.entries:
-            if name == label:
-                return s
-        raise KeyError(label)
+        return self._by_label[label]
 
     def __len__(self) -> int:
         return len(self.entries)

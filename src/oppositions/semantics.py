@@ -1,62 +1,34 @@
-"""Ground-truth classification of oppositions over inhabited-cell patterns.
+"""Ground-truth classification of oppositions over quantifier-leaf vectors.
 
-A *cell* is one truth assignment to the k predicates; a model's *pattern*
-is the nonempty set of cells it inhabits.  In the monadic fragment
-without equality a sentence's truth depends only on the pattern
-(Behmann 1922).  Models of at most n elements have exactly the patterns
-of at most n cells, so the bound n keeps those; the default 2^k keeps all
-and decides every question.  Each sentence compiles once into a truth
-mask with one bit per pattern, and the evidence for a pair is bitwise
-algebra on two masks.  One connective fold compiles both levels: a
-matrix into a mask over cells from its atoms, and a sentence into a mask
-over patterns from its quantified matrices.  Domains are nonempty
-throughout; the classical square collapses over the empty domain.
+A *cell* is one truth assignment to the k predicates: cell c makes
+predicate j true iff bit j of c is set.  Quantifiers never nest, so a
+sentence is a boolean combination of leaves ``∃C`` (some element is in a
+cell of C), reading ``∀D`` as ``¬∃(cells − D)``.  A vector of leaf truths
+is realizable within n elements iff the cells outside every false leaf
+are nonempty and at most n of them hit every true leaf (Behmann 1922,
+made tight); these are the bitstrings of Smessaert & Demey (2014).  Each
+sentence compiles to a mask with one bit per vector; a pair is classified
+by bitwise algebra on two masks.  Domains are nonempty throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
-from .formula import (
-    FORALL,
-    Atom,
-    Sentence,
-    And,
-    Implies,
-    Not,
-    Or,
-    Quantified,
-    Vocabulary,
-    sentence_predicates,
-)
-from .graph import (
-    CONTRADICTORY,
-    CONTRARY,
-    EQUIVALENT,
-    SUBCONTRARY,
-    UNCONNECTED,
-    OppositionGraph,
-    Relation,
-    subaltern,
-)
+from .formula import FORALL, Atom, Sentence, And, Implies, Not, Or, Quantified
+from .formula import Vocabulary, sentence_predicates
+from .graph import CONTRADICTORY, CONTRARY, EQUIVALENT, SUBCONTRARY, UNCONNECTED
+from .graph import OppositionGraph, Relation, subaltern
 from .parser import Corpus
 
-# The largest table the oracle lays out, in pattern-cell pairs: 2^20
-# patterns at k = 4.  The table holds one bit per pair, and one byte per
-# pair while it is built; the work of compiling a sentence grows with it.
-_MAX_TABLE = 1 << 24
+# The most vector-cell pairs decided; k <= 4 never reaches it (at most 2^16 patterns).
+_LIMIT = 1 << 24
 
 
 class VocabularyMismatchError(ValueError):
     """A sentence uses predicates outside the vocabulary in force."""
-
-
-def default_bound(vocab: Vocabulary) -> int:
-    """Domain bound 2^k, sound for the monadic fragment without equality."""
-    return 2 ** len(vocab)
 
 
 def _fold(s: Sentence, leaf: Callable[[Sentence], int], full: int) -> int:
@@ -72,71 +44,87 @@ def _fold(s: Sentence, leaf: Callable[[Sentence], int], full: int) -> int:
     return leaf(s)
 
 
-class _Patterns:
-    """The patterns of at most ``max_size`` cells (default 2^k, so all).
+def _compile(vocab: Vocabulary, sentences: Iterable[Sentence]) -> tuple[Callable, list[int]]:
+    """The leaf function (C of ``∃C``, and whether negated) and the distinct C, in order."""
+    cells = 1 << len(vocab)
+    if cells > _LIMIT:
+        raise ValueError(f"{len(vocab)} predicates give {cells:,} cells, past the "
+                         f"oracle's limit of {_LIMIT:,} vector-cell pairs")
+    # the cells of an atom: runs of 2^j set and clear bits, the highest first
+    atoms = {p: int(("1" * (1 << j) + "0" * (1 << j)) * (cells >> (j + 1)), 2)
+             for j, p in enumerate(vocab.predicates)}
+    full = (1 << cells) - 1
 
-    Cell c makes the j-th predicate true iff bit j of c is set.  Patterns
-    are numbered by size, then in ``itertools.combinations`` order.
-    """
-
-    def __init__(self, vocab: Vocabulary, max_size: int | None):
-        if max_size is None:
-            max_size = default_bound(vocab)
-        if max_size < 1:
-            raise ValueError("max_size must be at least 1")
-        cells = 1 << len(vocab)
-        largest = min(max_size, cells)
-        count = 0
-        for size in range(1, largest + 1):
-            count += comb(cells, size)
-            if count * cells > _MAX_TABLE:
-                raise ValueError(
-                    f"{len(vocab)} predicates at bound {max_size} need at least "
-                    f"{count:,} inhabited-cell patterns over {cells:,} cells; the "
-                    f"oracle lays out at most {_MAX_TABLE:,} pattern-cell pairs"
-                )
-        self.all = (1 << count) - 1
-        self._atoms = {
-            p: sum(1 << c for c in range(cells) if c >> j & 1)
-            for j, p in enumerate(vocab.predicates)
-        }
-        self._full_cells = (1 << cells) - 1
-        # one '0'/'1' digit per pattern, the last pattern first
-        digits = [bytearray(b"0") * count for _ in range(cells)]
-        i = count
-        for size in range(1, largest + 1):
-            for pattern in combinations(range(cells), size):
-                i -= 1
-                for c in pattern:
-                    digits[c][i] = 49  # ord("1")
-        # bit i of _inhabiting[c] says whether pattern i inhabits cell c
-        self._inhabiting = [int(d, 2) for d in digits]
-
-    def _atom(self, s: Sentence) -> int:
-        """Mask over cells: bit c says whether the atom holds in cell c."""
+    def atom(s: Sentence) -> int:
         if not isinstance(s, Atom):
             raise TypeError(f"not a matrix: {s!r}")
-        return self._atoms[s.predicate]
+        return atoms[s.predicate]
 
-    def _quantified(self, s: Sentence) -> int:
+    def leaf(s: Sentence) -> tuple[int, bool]:
         if not isinstance(s, Quantified):
             raise TypeError(f"not a sentence: {s!r}")
-        cells = _fold(s.matrix, self._atom, self._full_cells)
-        if s.quantifier == FORALL:
-            return self.all ^ self._some(self._full_cells ^ cells)
-        return self._some(cells)
+        inside = _fold(s.matrix, atom, full)
+        return (full ^ inside, True) if s.quantifier == FORALL else (inside, False)
 
-    def _some(self, cells: int) -> int:
-        """Mask over patterns: those inhabiting at least one of the cells."""
-        mask = 0
-        for c, inhabiting in enumerate(self._inhabiting):
-            if cells >> c & 1:
-                mask |= inhabiting
-        return mask
+    seen: dict[int, int] = {}
+    for s in sentences:  # a fold only to reach every leaf; its mask is dropped
+        _fold(s, lambda q: seen.setdefault(leaf(q)[0], 0), 0)
+    return leaf, list(seen)
+
+
+def _realizable(allowed: int, true: tuple[int, ...], bound: int | None) -> bool:
+    """Whether at most ``bound`` allowed cells hit every true leaf."""
+    if not allowed or not all(c & allowed for c in true):
+        return False
+    if bound is None or bound >= len(true):
+        return True
+    # group allowed cells by the true leaves they hit; each pick hits the lowest unhit
+    groups = [allowed]
+    for c in true:
+        groups = [part for g in groups for part in (g & c, g & ~c) if part]
+    hits = [sum(1 << j for j, c in enumerate(true) if g & c) for g in groups]
+    unhit = {(1 << len(true)) - 1}
+    for _ in range(bound):
+        unhit = {u & ~h for u in unhit for h in hits if h & u & -u}
+        if 0 in unhit:
+            return True
+    return False
+
+
+class _Vectors:
+    """The leaf vectors realizable in models of at most ``max_size`` elements."""
+
+    def __init__(self, vocab: Vocabulary, sentences: Iterable[Sentence], max_size: int | None):
+        if max_size is not None and max_size < 1:
+            raise ValueError("max_size must be at least 1")
+        self._leaf, leaves = _compile(vocab, sentences)
+        cells, count = 1 << len(vocab), 0
+        digits = [bytearray() for _ in leaves]  # per leaf, a '0' or '1' per vector
+        # set leaves true or false in turn; each surviving choice extends to a vector
+        stack = [(0, (1 << cells) - 1, (), 0)]  # next leaf, allowed cells, true leaves, their bits
+        while stack:
+            i, allowed, true, bits = stack.pop()
+            if not _realizable(allowed, true, max_size):
+                continue
+            if i < len(leaves):
+                stack.append((i + 1, allowed & ~leaves[i], true, bits))
+                stack.append((i + 1, allowed, true + (leaves[i],), bits | 1 << i))
+                continue
+            count += 1
+            if count * cells > _LIMIT:
+                raise ValueError(f"{len(vocab)} predicates give {count:,} or more leaf vectors "
+                                 f"over {cells:,} cells, past the oracle's limit of {_LIMIT:,}")
+            for j, d in enumerate(digits):
+                d.append(48 | bits >> j & 1)  # ord("0") or ord("1")
+        self.all = (1 << count) - 1
+        self._masks = {}  # over vectors, for each leaf and its negation
+        for c, d in zip(leaves, digits):
+            self._masks[c, False] = mask = int(d, 2)
+            self._masks[c, True] = self.all ^ mask
 
     def truth(self, s: Sentence) -> int:
-        """Mask over patterns: bit i says whether the sentence holds in pattern i."""
-        return _fold(s, self._quantified, self.all)
+        """Mask over vectors: bit v says whether the sentence holds under vector v."""
+        return _fold(s, lambda q: self._masks[self._leaf(q)], self.all)
 
     def evidence(self, ta: int, tb: int) -> Evidence:
         """The classification flags of two truth masks."""
@@ -145,7 +133,7 @@ class _Patterns:
 
 @dataclass(frozen=True)
 class Evidence:
-    """Truth-combination evidence gathered over all patterns in the bound."""
+    """Truth-combination evidence gathered over all models in the bound."""
 
     both_true: bool
     both_false: bool
@@ -177,9 +165,15 @@ def classification_evidence(
     max_size: int | None = None,
     vocab: Vocabulary | None = None,
 ) -> Evidence:
-    """The four classification flags over every pattern up to the bound."""
-    patterns = _Patterns(_shared_vocabulary(a, b, vocab), max_size)
-    return patterns.evidence(patterns.truth(a), patterns.truth(b))
+    """The four classification flags over every model up to the bound."""
+    vectors = _Vectors(_shared_vocabulary(a, b, vocab), (a, b), max_size)
+    return vectors.evidence(vectors.truth(a), vectors.truth(b))
+
+
+def exact_bound(sentences: list[Sentence]) -> int:
+    """The least bound at which every answer over the sentences is exact."""
+    vocab = Vocabulary(tuple({p: 0 for s in sentences for p in sentence_predicates(s)}))
+    return min(1 << len(vocab), len(_compile(vocab, sentences)[1]))
 
 
 def _relation(ev: Evidence, names: tuple[str, str]) -> Relation:
@@ -219,13 +213,13 @@ def classify(
 def build_graph(corpus: Corpus, max_size: int | None = None) -> OppositionGraph:
     """Classify every unordered pair of corpus sentences.
 
-    Each sentence compiles once; a pair then costs one bitwise step.
+    The corpus compiles once; a pair then costs one bitwise step.
     """
     if len(corpus) < 2:
         raise ValueError("a corpus needs at least two entries to build a graph")
-    patterns = _Patterns(corpus.vocabulary, max_size)
-    truths = [(label, patterns.truth(s)) for label, s in corpus.entries]
+    vectors = _Vectors(corpus.vocabulary, (s for _, s in corpus.entries), max_size)
+    truths = [(label, vectors.truth(s)) for label, s in corpus.entries]
     edges = {}
     for (la, ta), (lb, tb) in combinations(truths, 2):
-        edges[frozenset((la, lb))] = _relation(patterns.evidence(ta, tb), (la, lb))
+        edges[frozenset((la, lb))] = _relation(vectors.evidence(ta, tb), (la, lb))
     return OppositionGraph(corpus.labels, edges)

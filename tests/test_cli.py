@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oppositions
-from oppositions import print_sentence
+from oppositions import cli, print_sentence
 from oppositions.cli import main
 from conftest import HEXAGON_CORPUS, SQUARE_CORPUS, sentence_strategy
 
@@ -71,6 +71,47 @@ class TestClassify:
         assert code == 3
         assert out == ""
         assert "vocabulary" in err
+
+    def test_five_predicates_at_the_default_bound(self, capsys):
+        code, out, err = run(
+            capsys,
+            "classify",
+            "forall x. P(x) & Q(x) -> R(x) | S(x) | T(x)",
+            "exists x. P(x) & Q(x) & ~R(x) & ~S(x) & ~T(x)",
+        )
+        assert (code, out, err) == (0, "contradictory\n", "")
+
+
+class TestCutShortNote:
+    """A bound below min(2^k, distinct leaves) is labelled on stderr only."""
+
+    def test_contrary_pair_at_bound_one(self, capsys):
+        # both are false only in a model with two elements
+        code, out, err = run(capsys, "classify", "A[P]", "E[P]", "--bound", "1")
+        assert (code, out) == (0, "contradictory\n")
+        assert err.startswith("note: --bound 1 is below 2,") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [(), ("--bound", "2"), ("--bound", "5")])
+    def test_exact_bounds_stay_quiet(self, capsys, argv):
+        code, out, err = run(capsys, "classify", "A[P]", "E[P]", *argv)
+        assert (code, out, err) == (0, "contrary\n", "")
+
+    def test_corpus_commands(self, capsys, tmp_path):
+        # the hexagon corpus has two distinct leaves over two cells
+        for argv in (("graph",), ("encode",), ("synthesize", "--magnitude", "3")):
+            _, _, err = run(capsys, *with_corpus(tmp_path, HEXAGON_CORPUS, (*argv, "--bound", "1")))
+            assert err.startswith("note: --bound 1 is below 2,") and err.count("\n") == 1
+
+
+class TestInternalError:
+    def test_escaped_exception_exits_70_on_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise KeyError("a bug\nover two lines")
+
+        monkeypatch.setattr(cli, "_cmd_classify", broken)
+        code, out, err = run(capsys, "classify", "A[P]", "O[P]")
+        assert (code, out) == (70, "")
+        assert err.startswith("internal error: KeyError(") and err.count("\n") == 1
 
 
 class TestGraph:
@@ -323,8 +364,8 @@ class TestBoundErrors:
                 None,
                 (
                     "classify",
-                    "forall x. P(x) & Q(x) -> R(x) | S(x) | T(x)",
-                    "exists x. P(x) & Q(x) & ~R(x) & ~S(x) & ~T(x)",
+                    "forall x. " + " & ".join(f"P{i}(x)" for i in range(25)),
+                    "exists x. " + " & ".join(f"P{i}(x)" for i in range(25)),
                 ),
             ),
             (None, ("classify", "~" * 3000 + "A[P]", "I[P]")),
@@ -339,7 +380,7 @@ class TestBoundErrors:
             "classify-bound-zero",
             "encode-bound-negative",
             "synthesize-magnitude-zero",
-            "classify-too-many-patterns",
+            "classify-too-many-cells",
             "deep-negation",
             "deep-parentheses",
             "long-conjunction",
@@ -482,6 +523,7 @@ class TestFuzz:
                     code = done.code
         assert code in range(6)
         assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
 
 
 GOLDEN = Path(__file__).parent / "golden"

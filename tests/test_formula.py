@@ -3,10 +3,7 @@ import pytest
 from oppositions import (
     EXISTS,
     FORALL,
-    MIXED,
     REPRESENTATIONS,
-    UNIVERSAL_ONLY,
-    EXISTENTIAL_ONLY,
     Atom,
     And,
     Not,
@@ -17,6 +14,7 @@ from oppositions import (
     print_sentence,
     sentence_predicates,
 )
+from oppositions.formula import EXISTENTIAL_ONLY, MIXED, UNIVERSAL_ONLY
 
 P = Atom("P")
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import tracemalloc
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Mapping
 
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from oppositions import (
     EXISTS,
     FORALL,
-    FORMS,
     REPRESENTATIONS,
     And,
     Atom,
@@ -27,13 +28,14 @@ from oppositions import (
     build_graph,
     classification_evidence,
     classify,
-    default_bound,
     graph_equal,
     make_categorical,
     parse_corpus,
     parse_sentence,
     subaltern,
 )
+from oppositions.formula import FORMS
+from oppositions.semantics import _relation
 from conftest import sentence_strategy
 
 VP = Vocabulary.of("P")
@@ -128,6 +130,81 @@ def reference_evidence(a, b, max_size, vocab):
         ab = ab and (vb or not va)
         ba = ba and (va or not vb)
     return Evidence(both_true, both_false, ab, ba)
+
+
+# --- the pattern oracle the leaf-vector oracle replaced --------------------
+# Frozen here as a second differential reference: one bit per inhabited-cell
+# pattern of at most ``max_size`` cells.  A table depends only on the
+# vocabulary and the bound, so each is laid out once per session.
+
+
+def _frozen_fold(s, leaf, full):
+    if isinstance(s, Not):
+        return full ^ _frozen_fold(s.body, leaf, full)
+    if isinstance(s, And):
+        return _frozen_fold(s.left, leaf, full) & _frozen_fold(s.right, leaf, full)
+    if isinstance(s, Or):
+        return _frozen_fold(s.left, leaf, full) | _frozen_fold(s.right, leaf, full)
+    if isinstance(s, Implies):
+        return (full ^ _frozen_fold(s.left, leaf, full)) | _frozen_fold(s.right, leaf, full)
+    return leaf(s)
+
+
+class FrozenPatterns:
+    """The patterns of at most ``max_size`` cells (default 2^k, so all)."""
+
+    def __init__(self, vocab, max_size):
+        cells = 1 << len(vocab)
+        largest = min(max_size or cells, cells)
+        count = sum(comb(cells, size) for size in range(1, largest + 1))
+        self.all = (1 << count) - 1
+        self._atoms = {
+            p: sum(1 << c for c in range(cells) if c >> j & 1)
+            for j, p in enumerate(vocab.predicates)
+        }
+        self._full_cells = (1 << cells) - 1
+        # one '0'/'1' digit per pattern, the last pattern first
+        digits = [bytearray(b"0") * count for _ in range(cells)]
+        i = count
+        for size in range(1, largest + 1):
+            for pattern in itertools.combinations(range(cells), size):
+                i -= 1
+                for c in pattern:
+                    digits[c][i] = 49  # ord("1")
+        # bit i of _inhabiting[c] says whether pattern i inhabits cell c
+        self._inhabiting = [int(d, 2) for d in digits]
+
+    def _atom(self, s):
+        return self._atoms[s.predicate]
+
+    def _quantified(self, s):
+        cells = _frozen_fold(s.matrix, self._atom, self._full_cells)
+        if s.quantifier == FORALL:
+            return self.all ^ self._some(self._full_cells ^ cells)
+        return self._some(cells)
+
+    def _some(self, cells):
+        mask = 0
+        for c, inhabiting in enumerate(self._inhabiting):
+            if cells >> c & 1:
+                mask |= inhabiting
+        return mask
+
+    def truth(self, s):
+        return _frozen_fold(s, self._quantified, self.all)
+
+    def evidence(self, ta, tb):
+        return Evidence(ta & tb != 0, ta | tb != self.all, ta & ~tb == 0, tb & ~ta == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def frozen_patterns(vocab, max_size):
+    return FrozenPatterns(vocab, max_size)
+
+
+def pattern_evidence(a, b, max_size, vocab):
+    patterns = frozen_patterns(vocab, max_size)
+    return patterns.evidence(patterns.truth(a), patterns.truth(b))
 
 
 class TestEnumeration:
@@ -347,17 +424,10 @@ class TestBuildGraph:
             assert graph_equal(build_graph(square_corpus, bound), oracle_square)
 
 
-class TestDefaultBound:
-    @pytest.mark.parametrize(
-        "names,expected", [(("P",), 2), (("P", "Q"), 4), (("P", "Q", "R"), 8)]
-    )
-    def test_powers_of_two(self, names, expected):
-        assert default_bound(Vocabulary(names)) == expected
-
-
 K1 = sentence_strategy(("P",))
 K2 = sentence_strategy(("P", "Q"))
 K3 = sentence_strategy(("P", "Q", "R"))
+K4 = sentence_strategy(("P", "Q", "R", "S"))
 
 
 class TestAgainstReferenceEnumerator:
@@ -395,8 +465,61 @@ class TestAgainstReferenceEnumerator:
             assert graph.relation(la, lb) == classify(a, b, bound, vocab, names=(la, lb))
 
 
+class TestAgainstFrozenPatterns:
+    """The leaf-vector oracle answers exactly as the pattern oracle it
+    replaced, at every bound up to 2^k."""
+
+    @staticmethod
+    def check(a, b, vocab):
+        for bound in range(1, (1 << len(vocab)) + 1):
+            assert classification_evidence(a, b, bound, vocab) == pattern_evidence(
+                a, b, bound, vocab
+            ), bound
+        assert classification_evidence(a, b, None, vocab) == pattern_evidence(
+            a, b, None, vocab
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(K1, K1)
+    def test_one_predicate(self, a, b):
+        self.check(a, b, VP)
+
+    @settings(max_examples=60, deadline=None)
+    @given(K2, K2)
+    def test_two_predicates(self, a, b):
+        self.check(a, b, Vocabulary.of("P", "Q"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(K3, K3)
+    def test_three_predicates(self, a, b):
+        self.check(a, b, Vocabulary.of("P", "Q", "R"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(K4, K4)
+    def test_four_predicates(self, a, b):
+        self.check(a, b, Vocabulary.of("P", "Q", "R", "S"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from((("P",), ("P", "Q"), ("P", "Q", "R"))).flatmap(
+            lambda names: st.tuples(
+                st.just(Vocabulary(names)),
+                st.lists(sentence_strategy(names), min_size=2, max_size=5),
+                st.integers(min_value=1, max_value=1 << len(names)),
+            )
+        )
+    )
+    def test_graph_over_the_whole_corpus(self, drawn):
+        vocab, sentences, bound = drawn
+        labels = [f"s{i}" for i in range(len(sentences))]
+        graph = build_graph(Corpus(tuple(zip(labels, sentences)), vocab), bound)
+        for (la, a), (lb, b) in itertools.combinations(zip(labels, sentences), 2):
+            expected = _relation(pattern_evidence(a, b, bound, vocab), (la, lb))
+            assert graph.relation(la, lb) == expected
+
+
 class TestDefaultBoundExact:
-    """Default-bound answers at k = 3 and 4, derived by hand."""
+    """Default-bound answers at k = 3, 4, 5 and 8, derived by hand."""
 
     def test_three_predicates_contradictory(self):
         a = sent("forall x. P(x) & Q(x) -> R(x)")
@@ -426,33 +549,101 @@ class TestDefaultBoundExact:
         # every element is either P & ~Q or not
         assert graph.relation("some", "other").kind is RelationKind.SUBCONTRARY
 
+    FIVE = ("P", "Q", "R", "S", "T")
+    EIGHT = tuple(f"P{i}" for i in range(1, 9))
+
+    @staticmethod
+    def conj(names, negated=()):
+        return " & ".join(f"~{p}(x)" if p in negated else f"{p}(x)" for p in names)
+
+    def test_five_predicates(self):
+        lhs, rhs = self.conj(self.FIVE[:2]), " | ".join(f"{p}(x)" for p in self.FIVE[2:])
+        every = sent(f"forall x. {lhs} -> {rhs}")
+        counter = sent(f"exists x. {self.conj(self.FIVE, self.FIVE[2:])}")
+        assert classify(every, counter).kind is RelationKind.CONTRADICTORY
+        # the universal denies exactly the counterexample's cell
+        assert classify(every, Not(counter)).kind is RelationKind.EQUIVALENT
+        # some element has all five, or some element lacks one: at least one holds
+        all_five = f"exists x. {self.conj(self.FIVE)}"
+        assert classify(sent(all_five), sent(f"exists x. ~({self.conj(self.FIVE)})")).kind is (
+            RelationKind.SUBCONTRARY
+        )
+        # P & Q and R | S | T share no predicate, so neither constrains the other
+        vocab = Vocabulary(self.FIVE)
+        relation = classify(sent("exists x. P(x) & Q(x)"), sent(f"forall x. {rhs}"), vocab=vocab)
+        assert relation.kind is RelationKind.UNCONNECTED
+
+    def test_eight_predicates(self):
+        p1, rest = self.EIGHT[0], self.EIGHT[1:]
+        lhs, rhs = self.conj(self.EIGHT[:4]), " | ".join(f"{p}(x)" for p in self.EIGHT[4:])
+        every = sent(f"forall x. {lhs} -> {rhs}")
+        counter = sent(f"exists x. {self.conj(self.EIGHT, self.EIGHT[4:])}")
+        assert classify(every, counter).kind is RelationKind.CONTRADICTORY
+        # every P1 has all seven others, yet some P1 lacks all of them: never
+        # both; both fail when some P1 has P2 alone
+        strong = sent(f"forall x. {p1}(x) -> {self.conj(rest)}")
+        lacking = sent(f"exists x. {self.conj(self.EIGHT, rest)}")
+        assert classify(strong, lacking).kind is RelationKind.CONTRARY
+        # every P1 is P2, and some P1 has P3..P8, so that element has all
+        # eight; the converse fails when another P1 lacks P2
+        but_p2 = self.conj(self.EIGHT[:1] + self.EIGHT[2:])
+        both = sent(f"(forall x. {p1}(x) -> P2(x)) & (exists x. {but_p2})")
+        all_eight = sent(f"exists x. {self.conj(self.EIGHT)}")
+        assert classify(both, all_eight) == subaltern("a", "b")
+
 
 class TestPatternLimit:
+    """The oracle's one limit, on realizable leaf vectors times cells, which
+    replaced the pattern table's limit and refuses nothing that one admitted."""
+
     A5 = "forall x. P(x) & Q(x) -> R(x) | S(x) | T(x)"
     O5 = "exists x. P(x) & Q(x) & ~R(x) & ~S(x) & ~T(x)"
     WIDE = " | ".join(f"P{i}(x)" for i in range(13))
+    TWELVE = [f"P{i}" for i in range(12)]
 
     @pytest.mark.parametrize(
-        "a,b,bound,message",
+        "a,b,message",
         [
-            # 2^32 - 1 patterns over 32 cells
-            (A5, O5, None, "5 predicates at bound 32 "),
-            # few patterns, but each of 8,192 cells needs one bit per pattern
-            (f"forall x. {WIDE}", f"exists x. {WIDE}", 1, "13 predicates at bound 1 "),
+            # 2^25 cells: refused before a single 2^25-bit atom mask is built
+            (
+                "forall x. " + " & ".join(f"P{i}(x)" for i in range(25)),
+                "exists x. " + " & ".join(f"P{i}(x)" for i in range(25)),
+                "25 predicates give 33,554,432 cells, past",
+            ),
+            # twelve free leaves give 4,096 vectors over 4,096 cells, and the
+            # all-twelve leaf splits one of them: refused as the walk grows
+            (
+                " & ".join(f"(exists x. {p}(x))" for p in TWELVE),
+                "exists x. " + " & ".join(f"{p}(x)" for p in TWELVE),
+                "12 predicates give 4,097 or more leaf vectors over 4,096 cells",
+            ),
         ],
-        ids=["five-predicates-default-bound", "thirteen-predicates-bound-one"],
+        ids=["too-many-cells", "too-many-vectors"],
     )
-    def test_refused_before_allocating(self, a, b, bound, message):
+    def test_refused_before_allocating(self, a, b, message):
         a, b = sent(a), sent(b)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=message) as info:
-                classify(a, b, bound)
+                classify(a, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert "\n" not in str(info.value)
         assert peak < 100_000
+
+    def test_five_predicates_at_the_default_bound(self):
+        # 2^32 - 1 inhabited-cell patterns over 32 cells, but one leaf and two vectors
+        assert classify(sent(self.A5), sent(self.O5)).kind is RelationKind.CONTRADICTORY
+
+    def test_thirteen_predicates(self):
+        # 8,192 cells, and 8,192 patterns even at bound 1.  In a one-element
+        # model the element is in some P_i or in none, so both hold or both
+        # fail; a second element lets only the existential hold.
+        a, b = sent(f"forall x. {self.WIDE}"), sent(f"exists x. {self.WIDE}")
+        assert classify(a, b, 1).kind is RelationKind.EQUIVALENT
+        assert classify(a, b, 2) == subaltern("a", "b")
+        assert classify(a, b) == subaltern("a", "b")
 
     def test_small_bound_still_answers(self):
         # 41,448 patterns of at most 4 of the 32 cells
