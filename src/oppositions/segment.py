@@ -192,13 +192,13 @@ Triples = tuple[frozenset, frozenset]  # the contrary, then the subcontrary trip
 _TRIPLE_ROLES = ((Role.UNIVERSAL, Role.CONJUNCTION), (Role.EXISTENTIAL, Role.DISJUNCTION))
 
 
-def _triples(values: Mapping[str, int], with_role: Callable[[Role], tuple[str, ...]]) -> Triples:
+def _triples(e: SegmentAssignment) -> Triples:
     """Each triple of member labels and completing distinct object, or the
     empty set where there are not three such labels summing to zero."""
     triples = []
     for members, completing in _TRIPLE_ROLES:
-        triple = frozenset(with_role(members) + with_role(completing))
-        zero_sum = len(triple) == 3 and sum(values[label] for label in triple) == 0
+        triple = frozenset(e.labels_with_role(members) + e.labels_with_role(completing))
+        zero_sum = len(triple) == 3 and sum(e.values[label] for label in triple) == 0
         triples.append(triple if zero_sum else frozenset())
     return tuple(triples)
 
@@ -206,12 +206,12 @@ def _triples(values: Mapping[str, int], with_role: Callable[[Role], tuple[str, .
 def contrary_triple(e: SegmentAssignment) -> frozenset:
     """Universal labels plus the negative distinct object, when they sum
     to zero; pairwise contrary by the hexagon clauses."""
-    return _triples(e.values, e.labels_with_role)[0]
+    return _triples(e)[0]
 
 
 def subcontrary_triple(e: SegmentAssignment) -> frozenset:
     """Existential labels plus the positive distinct object."""
-    return _triples(e.values, e.labels_with_role)[1]
+    return _triples(e)[1]
 
 
 Fired = tuple[Relation, ...]
@@ -284,7 +284,7 @@ def clause_matches(e: SegmentAssignment, cs: ClauseSystem, a: str, b: str) -> Fi
     if a == b:
         raise AssignmentError("relations hold between distinct labels")
     _check_shape(e.roles, cs)
-    triples = _triples(e.values, e.labels_with_role)
+    triples = _triples(e)
     va, vb = e.value(a), e.value(b)
     return tuple(relation for row in CLAUSES[cs] for relation in row(a, va, b, vb, triples))
 
@@ -303,7 +303,7 @@ def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
     the rows of ``CLAUSES[cs]`` in order.  The hexagon rows need the two
     distinct objects, so they require the six-label hexagon shape."""
     _check_shape(e.roles, cs)
-    rows, triples = CLAUSES[cs], _triples(e.values, e.labels_with_role)
+    rows, triples = CLAUSES[cs], _triples(e)
     edges = {
         frozenset((a, b)): _decode_pair(rows, a, e.values[a], b, e.values[b], triples)
         for a, b in combinations(e.labels, 2)
@@ -377,8 +377,9 @@ def synthesize(
 
     Candidates are all injective maps of the target labels to nonzero
     integers within the magnitude bound, over symmetric supports, with
-    each label's polarity fixed by its role; hexagon candidates must
-    additionally give each distinct object the sum of its components.
+    each label's polarity fixed by its role.  Under hexagon clauses only
+    the other labels are enumerated, and each distinct object is placed at
+    the sum of its components: magnitudes summing past the bound are skipped.
     An empty result is a proof that no encoding exists at this bound;
     roles that admit no candidate at all raise ShapeError instead.
     Results come in a canonical order: supports by ascending magnitude
@@ -390,30 +391,29 @@ def synthesize(
     if set(roles) != set(labels):
         raise ValueError("roles must cover exactly the target labels")
     _check_shape(roles, cs)
-    positive_labels = tuple(l for l in labels if roles[l] in _POSITIVE_ROLES)
-    negative_labels = tuple(l for l in labels if roles[l] not in _POSITIVE_ROLES)
     with_role = {role: tuple(l for l in labels if roles[l] is role) for role in Role}
-    sums = ()  # each distinct object with the labels it must be the sum of
+    sums = {}  # each distinct object with the labels it is the sum of
     if cs is ClauseSystem.HEXAGON:
-        sums = (
-            (with_role[Role.DISJUNCTION][0], with_role[Role.UNIVERSAL]),
-            (with_role[Role.CONJUNCTION][0], with_role[Role.EXISTENTIAL]),
-        )
+        (u,), (y,) = with_role[Role.DISJUNCTION], with_role[Role.CONJUNCTION]
+        sums = {u: with_role[Role.UNIVERSAL], y: with_role[Role.EXISTENTIAL]}
+    free = tuple(l for l in labels if l not in sums)
+    positive_labels = tuple(l for l in free if roles[l] in _POSITIVE_ROLES)
+    negative_labels = tuple(l for l in free if roles[l] not in _POSITIVE_ROLES)
+    # the placed sums make both triples sum to zero; the square rows never read them
+    triples = tuple(frozenset(with_role[m] + with_role[c]) for m, c in _TRIPLE_ROLES)
     rows, pairs = CLAUSES[cs], tuple(target.pairs())
 
-    # Each candidate is checked on its plain values, pair by pair, up to
-    # the first mismatch; the enumeration already gives every candidate
-    # the invariants a SegmentAssignment checks.
+    # Each candidate is checked on its plain values, pair by pair, up to the first
+    # mismatch; the enumeration gives it the invariants a SegmentAssignment checks.
     found: list[SegmentAssignment] = []
     for magnitudes in combinations(range(1, magnitude_bound + 1), len(positive_labels)):
-        negatives = sorted(-m for m in magnitudes)
+        if sums and sum(magnitudes) > magnitude_bound:
+            continue
         for positive_row in permutations(magnitudes):
-            for negative_row in permutations(negatives):
+            for negative_row in permutations(sorted(-m for m in magnitudes)):
                 values = dict(zip(positive_labels, positive_row))
                 values.update(zip(negative_labels, negative_row))
-                if any(values[d] != sum(values[l] for l in of) for d, of in sums):
-                    continue
-                triples = _triples(values, with_role.__getitem__)
+                values.update({d: sum(values[l] for l in of) for d, of in sums.items()})
                 for a, b, relation in pairs:
                     if _decode_pair(rows, a, values[a], b, values[b], triples) != relation:
                         break

@@ -50,9 +50,12 @@ def _compile(vocab: Vocabulary, sentences: Iterable[Sentence]) -> tuple[Callable
     if cells > _LIMIT:
         raise ValueError(f"{len(vocab)} predicates give {cells:,} cells, past the "
                          f"oracle's limit of {_LIMIT:,} vector-cell pairs")
-    # the cells of an atom: runs of 2^j set and clear bits, the highest first
-    atoms = {p: int(("1" * (1 << j) + "0" * (1 << j)) * (cells >> (j + 1)), 2)
-             for j, p in enumerate(vocab.predicates)}
+    atoms = {}  # cell c is in atom j iff bit j of c is set
+    for j, p in enumerate(vocab.predicates):
+        mask, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j  # 2^j clear bits, then 2^j set
+        while width < cells:  # double the unit up to 2^k bits
+            mask, width = mask | mask << width, 2 * width
+        atoms[p] = mask
     full = (1 << cells) - 1
 
     def atom(s: Sentence) -> int:

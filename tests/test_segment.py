@@ -499,7 +499,7 @@ class TestAgainstReferenceSynthesize:
     def test_paper_graphs(self, request, cs, corpus):
         target = request.getfixturevalue(f"oracle_{corpus}")
         roles = {label: HEXAGON_ROLES[label] for label in target.nodes}
-        for bound in range(1, 9):
+        for bound in range(1, 11):
             if cs is HEXAGON and corpus == "square":
                 with pytest.raises(ShapeError):
                     synthesize(target, cs, bound, roles)
@@ -515,6 +515,27 @@ class TestAgainstReferenceSynthesize:
         found = synthesize(target, cs, bound, roles)
         assert found == _reference_synthesize(target, cs, bound, roles)
         assert values_of(candidate) in [values_of(e) for e in found]
+
+
+class TestHexagonClosedForm:
+    """Hexagon clauses find the hexagon exactly where A = a, E = e, the
+    existentials are their contradictories and the distinct objects their
+    sums: 2 * #{a < e, a + e <= M} results (bench/reference.py counts the
+    same), in the canonical order."""
+
+    @pytest.mark.parametrize("bound,count", [(16, 112), (24, 264), (40, 760)])
+    def test_every_solution_in_canonical_order(self, oracle_hexagon, bound, count):
+        expected = [
+            {"A": a, "E": e, "I": -e, "O": -a, "U": a + e, "Y": -a - e}
+            for a in range(1, bound)
+            for e in range(1, bound + 1 - a)
+            if a != e
+        ]
+        # supports by ascending magnitudes, then the rows (A, E, U) and (I, O, Y)
+        expected.sort(key=lambda v: (sorted(v[l] for l in "AEU"), [v[l] for l in "AEUIOY"]))
+        found = synthesize(oracle_hexagon, HEXAGON, bound, HEXAGON_ROLES)
+        assert [values_of(e) for e in found] == expected
+        assert len(found) == count
 
 
 class TestInferRole:

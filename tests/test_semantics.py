@@ -35,7 +35,7 @@ from oppositions import (
     subaltern,
 )
 from oppositions.formula import FORMS
-from oppositions.semantics import _relation
+from oppositions.semantics import _compile, _relation
 from conftest import sentence_strategy
 
 VP = Vocabulary.of("P")
@@ -648,3 +648,19 @@ class TestPatternLimit:
     def test_small_bound_still_answers(self):
         # 41,448 patterns of at most 4 of the 32 cells
         assert classify(sent(self.A5), sent(self.O5), 4).kind is RelationKind.CONTRADICTORY
+
+
+class TestAtomMasks:
+    """The atom masks built by doubling one unit equal the string formula
+    they replaced, which spelled out all 2^k digits of each mask."""
+
+    @staticmethod
+    def spelled_out(k, j):
+        return int(("1" * (1 << j) + "0" * (1 << j)) * ((1 << k) >> (j + 1)), 2)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equal_to_the_string_formula(self, k):
+        predicates = tuple(f"P{j}" for j in range(k))
+        leaf, _ = _compile(Vocabulary(predicates), [])
+        for j, p in enumerate(predicates):
+            assert leaf(Quantified(EXISTS, Atom(p))) == (self.spelled_out(k, j), False), (k, j)
