@@ -6,64 +6,84 @@ quantifier leaves that a model within the bound realizes, and encodes
 the square of oppositions and its hexagonal extension as assignments of
 integers on a one-dimensional segment, where the relations are recovered
 from sign, sum, and order conditions.
+
+Importing the package imports none of its modules: each public name is
+loaded from the submodule ``_EXPORTS`` names on first access (PEP 562).
 """
 
-from .formula import (
-    FORALL,
-    EXISTS,
-    REPRESENTATIONS,
-    Atom,
-    And,
-    Implies,
-    Not,
-    Or,
-    Quantified,
-    Sentence,
-    Vocabulary,
-    make_categorical,
-    print_sentence,
-    sentence_predicates,
-)
-from .parser import Corpus, ParseError, parse_corpus, parse_sentence
-from .graph import (
-    CONTRADICTORY,
-    CONTRARY,
-    SUBCONTRARY,
-    UNCONNECTED,
-    OppositionGraph,
-    Relation,
-    RelationKind,
-    from_structured,
-    graph_equal,
-    render_segment,
-    subaltern,
-    to_dot,
-    to_structured,
-)
-from .semantics import (
-    Evidence,
-    VocabularyMismatchError,
-    build_graph,
-    classification_evidence,
-    classify,
-)
-from .segment import (
-    A_HIGH,
-    A_LOW,
-    AssignmentError,
-    ClauseSystem,
-    Role,
-    SegmentAssignment,
-    ShapeError,
-    clause_matches,
-    contrary_triple,
-    decode_graph,
-    extend_hexagon,
-    infer_role,
-    make_square_assignment,
-    subcontrary_triple,
-    synthesize,
-    verify_against,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# public name -> submodule that defines it
+_EXPORTS = {
+    "FORALL": "formula",
+    "EXISTS": "formula",
+    "REPRESENTATIONS": "formula",
+    "Atom": "formula",
+    "And": "formula",
+    "Implies": "formula",
+    "Not": "formula",
+    "Or": "formula",
+    "Quantified": "formula",
+    "Sentence": "formula",
+    "Vocabulary": "formula",
+    "make_categorical": "formula",
+    "print_sentence": "formula",
+    "sentence_predicates": "formula",
+    "Corpus": "parser",
+    "ParseError": "parser",
+    "parse_corpus": "parser",
+    "parse_sentence": "parser",
+    "CONTRADICTORY": "graph",
+    "CONTRARY": "graph",
+    "SUBCONTRARY": "graph",
+    "UNCONNECTED": "graph",
+    "OppositionGraph": "graph",
+    "Relation": "graph",
+    "RelationKind": "graph",
+    "from_structured": "graph",
+    "graph_equal": "graph",
+    "render_segment": "graph",
+    "subaltern": "graph",
+    "to_dot": "graph",
+    "to_structured": "graph",
+    "Evidence": "semantics",
+    "VocabularyMismatchError": "semantics",
+    "build_graph": "semantics",
+    "classification_evidence": "semantics",
+    "classify": "semantics",
+    "A_HIGH": "graph",
+    "A_LOW": "graph",
+    "AssignmentError": "segment",
+    "ClauseSystem": "segment",
+    "Role": "segment",
+    "SegmentAssignment": "segment",
+    "ShapeError": "segment",
+    "clause_matches": "segment",
+    "contrary_triple": "segment",
+    "decode_graph": "segment",
+    "extend_hexagon": "segment",
+    "infer_role": "segment",
+    "make_square_assignment": "segment",
+    "subcontrary_triple": "segment",
+    "synthesize": "segment",
+    "verify_against": "segment",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in {*_EXPORTS.values(), "cli"}:  # a submodule not imported yet
+        return import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

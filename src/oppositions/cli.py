@@ -4,8 +4,13 @@ Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
 ``synthesize`` encodings for a corpus by exhaustive search.
 
+Each subcommand imports only the modules it runs: ``encode`` and
+``synthesize`` import ``segment``, and ``json`` loads only for structured
+output, so ``classify`` and ``graph`` never compile either.
+
 Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
-result); 2 parse or input error; 3 vocabulary mismatch; 4 a corpus or
+result); 2 parse or input error, or an ``encode`` number line wider than
+``graph.MAX_SEGMENT_COLUMNS``; 3 vocabulary mismatch; 4 a corpus or
 roles of a shape the command or its clauses cannot take; 5 verification
 mismatch; 70 (EX_SOFTWARE) a bug escaped every other handler; 141
 (128 + SIGPIPE) stdout closed before the payload was written, as under
@@ -16,7 +21,6 @@ diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -29,27 +33,15 @@ from .formula import (
     make_categorical,
 )
 from .graph import (
+    A_LOW,
     OppositionGraph,
     SCHEMA_VERSION,
+    UNIVERSAL_MAPS,
     render_segment,
     to_dot,
     to_structured,
 )
 from .parser import Corpus, ParseError, parse_corpus, parse_sentence
-from .segment import (
-    A_LOW,
-    ClauseSystem,
-    Role,
-    SegmentAssignment,
-    ShapeError,
-    UNIVERSAL_MAPS,
-    decode_graph,
-    extend_hexagon,
-    infer_role,
-    make_square_assignment,
-    synthesize,
-    verify_against,
-)
 from .semantics import VocabularyMismatchError, build_graph, classify, exact_bound
 
 EXIT_OK = 0
@@ -208,24 +200,6 @@ def _detect_shape(corpus: Corpus) -> tuple[str, str]:
     return shape, predicate
 
 
-def _corpus_roles(corpus: Corpus) -> dict[str, Role]:
-    roles = {}
-    for label, sentence in corpus.entries:
-        role = infer_role(sentence)
-        if role is None:
-            raise _CliError(
-                f"cannot infer a polarity role for label {label!r}", EXIT_SHAPE
-            )
-        roles[label] = role
-    return roles
-
-
-def _clause_system(flag: str | None, fallback: ClauseSystem) -> ClauseSystem:
-    if flag is None:
-        return fallback
-    return ClauseSystem(flag)
-
-
 def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
     if bound is not None and bound < (exact := exact_bound(sentences)):
         print(f"note: --bound {bound} is below {exact}, the least exact bound", file=sys.stderr)
@@ -273,7 +247,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _assignment_text(e: SegmentAssignment) -> str:
+def _assignment_text(e) -> str:
     lines = ["assignment:"]
     for label in e.labels:
         lines.append(f"  {label} = {e.values[label]} ({e.roles[label].value})")
@@ -281,23 +255,25 @@ def _assignment_text(e: SegmentAssignment) -> str:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from . import segment
+
     corpus = _read_corpus(args.corpus)
     shape, _ = _detect_shape(corpus)
-    square_labels = ("A", "E", "I", "O")
     try:
-        assignment = make_square_assignment(args.q, args.r, args.universal_map, square_labels)
+        assignment = segment.make_square_assignment(args.q, args.r, args.universal_map)
         if shape == "hexagon":
-            assignment = extend_hexagon(assignment, "U", "Y")
+            assignment = segment.extend_hexagon(assignment, "U", "Y")
     except ValueError as err:
         raise _CliError(str(err), EXIT_PARSE) from None
-    clauses = _clause_system(
-        args.clauses,
-        ClauseSystem.HEXAGON if shape == "hexagon" else ClauseSystem.SQUARE,
-    )
+    clauses = segment.ClauseSystem(args.clauses or shape)
     semantic = _corpus_graph(corpus, args.bound)
-    report = verify_against(assignment, clauses, semantic)
+    try:
+        report = segment.verify_against(assignment, clauses, semantic)
+    except segment.ShapeError as err:
+        raise _CliError(str(err), EXIT_SHAPE) from None
 
     if args.format == "structured":
+        import json
         document = {
             "schema_version": SCHEMA_VERSION,
             "kind": "encoding_report",
@@ -307,11 +283,15 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         }
         print(json.dumps(document, indent=2))
     elif args.format == "dot":
-        print(to_dot(decode_graph(assignment, clauses)))
+        print(to_dot(segment.decode_graph(assignment, clauses)))
     else:
+        try:  # refused before anything is printed
+            line = render_segment(assignment)
+        except ValueError as err:
+            raise _CliError(str(err), EXIT_PARSE) from None
         print(_assignment_text(assignment))
         print()
-        print(render_segment(assignment))
+        print(line)
         print()
         if report.matches:
             print("verification: matches")
@@ -326,17 +306,25 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
+    from . import segment
+
     corpus = _read_corpus(args.corpus)
-    roles = _corpus_roles(corpus)
+    roles = {}
+    for label, sentence in corpus.entries:
+        roles[label] = segment.infer_role(sentence)
+        if roles[label] is None:
+            raise _CliError(f"cannot infer a polarity role for label {label!r}", EXIT_SHAPE)
     target = _corpus_graph(corpus, args.bound)
-    has_hexagon_roles = Role.DISJUNCTION in roles.values()
-    clauses = _clause_system(
-        args.clauses, ClauseSystem.HEXAGON if has_hexagon_roles else ClauseSystem.SQUARE
-    )
+    has_hexagon_roles = segment.Role.DISJUNCTION in roles.values()
+    clauses = segment.ClauseSystem(args.clauses or ("hexagon" if has_hexagon_roles else "square"))
     magnitude = args.magnitude if args.magnitude is not None else len(corpus.labels)
-    results = synthesize(target, clauses, magnitude, roles)
+    try:
+        results = segment.synthesize(target, clauses, magnitude, roles)
+    except segment.ShapeError as err:
+        raise _CliError(str(err), EXIT_SHAPE) from None
 
     if args.format == "structured":
+        import json
         document = {
             "schema_version": SCHEMA_VERSION,
             "kind": "synthesis_result",
@@ -376,9 +364,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except ShapeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SHAPE
     except Exception as err:  # the last resort: a bug, never a traceback
         print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL

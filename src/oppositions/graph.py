@@ -8,13 +8,21 @@ ASCII rendering of integer segment assignments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Any, Iterator, Mapping
 
 SCHEMA_VERSION = 1
+
+# Which universal label takes the smaller magnitude on a segment.
+A_LOW = "a-low"
+A_HIGH = "a-high"
+UNIVERSAL_MAPS = (A_LOW, A_HIGH)
+
+# The widest number line render_segment draws; each column costs about
+# twenty bytes while it is built, so a span of 10^9 would need 80 GB.
+MAX_SEGMENT_COLUMNS = 100_000
 
 
 class RelationKind(Enum):
@@ -166,6 +174,7 @@ def to_structured(obj: Any) -> str:
 
     Byte-stable: identical inputs always serialize to identical text.
     """
+    import json
     document = getattr(obj, "to_document", None)
     if document is None:
         raise TypeError(f"no structured form for {type(obj).__name__}")
@@ -174,6 +183,7 @@ def to_structured(obj: Any) -> str:
 
 def from_structured(text: str) -> OppositionGraph:
     """Read an opposition graph back from its structured form."""
+    import json
     document = json.loads(text)
     if document.get("kind") != "opposition_graph":
         raise ValueError(f"not an opposition graph document: {document.get('kind')!r}")
@@ -194,13 +204,17 @@ def render_segment(assignment) -> str:
     """ASCII number line with each label at the column of its integer.
 
     Two lines: tick marks for every integer in the span with 0 singled
-    out, then the labels at their positions.
+    out, then the labels at their positions.  A line wider than
+    ``MAX_SEGMENT_COLUMNS`` raises ValueError before anything is built.
     """
     values = {label: assignment.values[label] for label in assignment.labels}
     lo = min(values.values())
     hi = max(values.values())
     unit = max(4, max(len(label) for label in values) + 1)
     width = (hi - lo) * unit + 1
+    if width > MAX_SEGMENT_COLUMNS:
+        raise ValueError(f"the number line would be {width} columns wide, "
+                         f"above the limit of {MAX_SEGMENT_COLUMNS}")
 
     ticks = ["-"] * width
     for v in range(lo, hi + 1):

@@ -27,13 +27,16 @@ from itertools import combinations, permutations
 from typing import Callable, Mapping
 
 from .formula import FORALL, Sentence, And, Not, Or, Quantified
-from .graph import (
+from .graph import (  # A_HIGH, A_LOW and UNIVERSAL_MAPS are re-exported
+    A_HIGH,
+    A_LOW,
     CONTRADICTORY,
     CONTRARY,
     SUBCONTRARY,
     OppositionGraph,
     Relation,
     SCHEMA_VERSION,
+    UNIVERSAL_MAPS,
     subaltern,
 )
 
@@ -69,11 +72,6 @@ class AssignmentError(ValueError):
 
 class ShapeError(ValueError):
     """An assignment does not have the shape an operation requires."""
-
-
-A_LOW = "a-low"
-A_HIGH = "a-high"
-UNIVERSAL_MAPS = (A_LOW, A_HIGH)
 
 
 @dataclass(frozen=True)

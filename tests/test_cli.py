@@ -225,6 +225,15 @@ class TestEncode:
         assert code == 2
         assert "distinct" in err
 
+    @pytest.mark.parametrize(
+        "fmt,expected", [("structured", '"value": 1000000000'), ("dot", "digraph oppositions {")]
+    )
+    def test_huge_span_draws_no_number_line(self, capsys, square_file, fmt, expected):
+        argv = ("encode", "--corpus", square_file, "--r", str(10**9), "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert expected in out
+
     def test_structured_format(self, capsys, hexagon_file):
         code, out, _ = run(
             capsys, "encode", "--corpus", hexagon_file, "--format", "structured"
@@ -375,6 +384,7 @@ class TestBoundErrors:
             (None, ("classify", "forall x. " + "(" * 1200 + "P(x)" + ")" * 1200, "I[P]")),
             ("A: I[P]\nB: forall x. " + " & ".join(["P(x)"] * 3000), ("graph",)),
             (b"A: A[P]\nB: \xffI[P]\n", ("graph",)),
+            (HEXAGON_CORPUS, ("encode", "--r", str(10**9))),
         ],
         ids=[
             "classify-bound-zero",
@@ -388,6 +398,7 @@ class TestBoundErrors:
             "deep-matrix-parentheses",
             "long-matrix-conjunction-in-corpus",
             "corpus-not-utf8",
+            "encode-number-line-too-wide",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, corpus, argv):
@@ -414,6 +425,63 @@ class TestBoundErrors:
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and "invalid label" in done.stderr
+
+
+# The child snapshots its modules after start-up, so a module that site
+# loads (json may be one) does not count as loaded by the command.
+MODULES_PROBE = """\
+import sys
+bare = set(sys.modules)
+from oppositions.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(*sorted(set(sys.modules) - bare), file=sys.stderr)
+sys.exit(code)
+"""
+
+ORACLE_MODULES = {
+    "oppositions",
+    "oppositions.cli",
+    "oppositions.formula",
+    "oppositions.graph",
+    "oppositions.parser",
+    "oppositions.semantics",
+}
+
+
+def loaded_modules(tmp_path, corpus, argv):
+    """The modules a child imports to run the CLI on argv, past its own start."""
+    done = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, *with_corpus(tmp_path, corpus, argv)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+class TestImportContract:
+    @pytest.mark.parametrize(
+        "corpus,argv,json_free",
+        [
+            (None, ("classify", "A[P]", "O[P]"), True),
+            (SQUARE_CORPUS, ("graph", "--format", "text"), True),
+            (SQUARE_CORPUS, ("graph", "--format", "dot"), True),
+            (SQUARE_CORPUS, ("graph", "--format", "structured"), False),
+        ],
+        ids=["classify", "graph-text", "graph-dot", "graph-structured"],
+    )
+    def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, json_free):
+        loaded = loaded_modules(tmp_path, corpus, argv)
+        assert {m for m in loaded if m.startswith("oppositions")} == ORACLE_MODULES
+        if json_free:
+            assert "json" not in loaded
+
+    def test_encode_loads_segment(self, tmp_path):
+        loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", "structured"))
+        assert "oppositions.segment" in loaded
 
 
 class TestBrokenPipe:

@@ -24,6 +24,7 @@ from oppositions import (
     to_structured,
     verify_against,
 )
+from oppositions.graph import MAX_SEGMENT_COLUMNS
 
 _EDGE_RE = re.compile(r'^\s*"[^"]+" -> "[^"]+" \[label="[a-z]+"(, [a-z]+=[a-z]+)*\];$')
 _NODE_RE = re.compile(r'^\s*"[^"]+";$')
@@ -232,6 +233,14 @@ class TestRenderSegment:
         lo = min(e.values.values())
         for label in e.labels:
             assert labels.index(label) == (e.values[label] - lo) * unit
+
+    def test_width_cap(self):
+        # four columns per unit: a span of 2r gives 8r + 1 columns
+        widest = (MAX_SEGMENT_COLUMNS - 1) // 8
+        ticks, _ = render_segment(make_square_assignment(1, widest)).split("\n")
+        assert len(ticks) == 8 * widest + 1 <= MAX_SEGMENT_COLUMNS
+        with pytest.raises(ValueError, match="columns wide"):
+            render_segment(make_square_assignment(1, widest + 1))
 
     def test_mirror_symmetry(self):
         ticks, _ = render_segment(make_square_assignment(2, 3)).split("\n")
