@@ -72,10 +72,11 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
+_SUBMODULES = frozenset(_EXPORTS.values())
 
 
 def __getattr__(name: str):
-    if name in {*_EXPORTS.values(), "cli"}:  # a submodule not imported yet
+    if name in _SUBMODULES:  # a submodule not imported yet
         return import_module(f".{name}", __name__)
     module = _EXPORTS.get(name)
     if module is None:

@@ -2,14 +2,14 @@
 
 Run from the root of a git checkout::
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --pairs 10 --seconds 25 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_<n>.json
 
 Each revision is exported with ``git archive`` into its own directory, so
-the runs see committed files only.  For every workload and every pair,
-``bench/run.py --trace 0`` runs once on each side with the same seed, and
-the side that runs first alternates from pair to pair, so a drift of the
-machine's speed falls on both sides alike.  Seed ``s`` is used for pair
+the runs see committed files only.  For every workload and each of the ten
+pairs, ``bench/run.py --trace 0`` runs once on each side with the same seed
+for the ``run_seconds`` that ``BENCHMARK.json`` fixes, and the side that
+runs first alternates from pair to pair, so a drift of the machine's speed
+falls on both sides alike.  Seed ``s`` is used for pair
 ``s - seed_start``.  After the pairs, one ``--trace 1`` run per side
 records the per-layer metrics, ``cli.import_s`` among them.
 
@@ -37,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path.cwd()
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs a claimed gain is judged on
 TRACE_SECONDS = 5  # the per-layer numbers are context; the claims rest on the pairs
 # the seconds behind verdict_p50_x: the CLI's median and a bare interpreter's
 BASES = ("verdict_p50_s", "bare_interpreter_p50_s")
@@ -94,17 +95,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--change", default="HEAD", help="revision under test")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--seed-start", type=int, default=1)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
-    seeds = list(range(args.seed_start, args.seed_start + args.pairs))
+    seconds = benchmark["run_seconds"]
+    seeds = list(range(args.seed_start, args.seed_start + PAIRS))
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), trees[side]) for side in SIDES}
@@ -112,7 +110,7 @@ def main(argv=None) -> int:
             "schema_version": 1,
             "kind": "bench_pairs",
             "commits": commits,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "seeds": seeds,
             "workloads": {},
         }
@@ -125,7 +123,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 first.append(order[0])
                 for side in order:
-                    result, context = bench(trees[side], workload, seed, args.seconds, 0)
+                    result, context = bench(trees[side], workload, seed, seconds, 0)
                     runs[side].append(result)
                     for key in BASES:
                         bases[side][key].append(context[key])
