@@ -54,9 +54,9 @@ class Vocabulary:
 # --- one node family for matrices and sentences ---
 
 
-@dataclass(frozen=True)
 class Sentence:
-    """A node of a sentence or of the matrix under its quantifier."""
+    """A node of a sentence or of the matrix under its quantifier; the
+    fieldless base of the six node dataclasses, not one itself."""
 
 
 @dataclass(frozen=True)

@@ -238,7 +238,14 @@ def _subaltern_toward_negative(a: str, va: int, b: str, vb: int, t: Triples) -> 
 
 
 # Rows in precedence order; each table ends in rows that fire for every
-# pair the earlier rows leave over.
+# pair the earlier rows leave over.  Every row reads only four facts of a
+# pair: the signs, which the roles fix; whether it sums to zero, which the
+# matching of positive and negative values fixes, as magnitudes are
+# distinct; triple membership, which the roles fix; and the order of values
+# with the same sign, which the permutation of each row fixes, as a distinct
+# object sits at the sum of its components and so above them.  synthesize
+# decides each pair of permutations once on that ground, so a row that
+# reads a magnitude has to change the search too.
 CLAUSES: dict[ClauseSystem, Rows] = {
     ClauseSystem.SQUARE: (
         _sum_zero,
@@ -371,17 +378,23 @@ def synthesize(
     magnitude_bound: int,
     roles: Mapping[str, Role],
 ) -> list[SegmentAssignment]:
-    """Exhaustively search for assignments that decode to the target graph.
+    """Every assignment within the magnitude bound that decodes to the target graph.
 
     Candidates are all injective maps of the target labels to nonzero
     integers within the magnitude bound, over symmetric supports, with
     each label's polarity fixed by its role.  Under hexagon clauses only
-    the other labels are enumerated, and each distinct object is placed at
-    the sum of its components: magnitudes summing past the bound are skipped.
-    An empty result is a proof that no encoding exists at this bound;
-    roles that admit no candidate at all raise ShapeError instead.
-    Results come in a canonical order: supports by ascending magnitude
-    tuple, then positive and negative value rows lexicographically.
+    the other labels are free, and each distinct object is placed at the
+    sum of its components: magnitudes summing past the bound are skipped.
+    A candidate is a support and a pair of permutations, one placing its
+    magnitudes on the positive labels and one its negations on the
+    negative labels.  The clause rows never read a magnitude (see
+    ``CLAUSES``), so each pair of permutations is decoded once, on the
+    least magnitudes, and only the pairs that decode to the target are
+    built on each support.  When no pair does, the result is empty at
+    every bound, and no support is visited; roles that admit no candidate
+    at all raise ShapeError instead.  Results come in a canonical order:
+    supports by ascending magnitude tuple, then positive and negative
+    value rows lexicographically.
     """
     if magnitude_bound < 1:
         raise ValueError("magnitude bound must be at least 1")
@@ -401,22 +414,37 @@ def synthesize(
     triples = tuple(frozenset(with_role[m] + with_role[c]) for m, c in _TRIPLE_ROLES)
     rows, pairs = CLAUSES[cs], tuple(target.pairs())
 
-    # Each candidate is checked on its plain values, pair by pair, up to the first
-    # mismatch; the enumeration gives it the invariants a SegmentAssignment checks.
+    def place(magnitudes: tuple[int, ...], p: tuple[int, ...], q: tuple[int, ...]) -> dict:
+        """The values of a support under permutation p of its magnitudes
+        and permutation q of its ascending negations."""
+        negatives = sorted(-m for m in magnitudes)
+        values = {l: magnitudes[i] for l, i in zip(positive_labels, p)}
+        values.update({l: negatives[i] for l, i in zip(negative_labels, q)})
+        values.update({d: sum(values[l] for l in of) for d, of in sums.items()})
+        return values
+
+    # Each pair of permutations is checked on the least support, pair by pair up to
+    # the first mismatch, in the order permutations() yields the value rows.
+    least = tuple(range(1, len(positive_labels) + 1))
+    orders = tuple(permutations(range(len(positive_labels))))
+    types = []
+    for p in orders:
+        for q in orders:
+            values = place(least, p, q)
+            if all(
+                _decode_pair(rows, a, values[a], b, values[b], triples) == relation
+                for a, b, relation in pairs
+            ):
+                types.append((p, q))
+    if not types:
+        return []
     found: list[SegmentAssignment] = []
     for magnitudes in combinations(range(1, magnitude_bound + 1), len(positive_labels)):
         if sums and sum(magnitudes) > magnitude_bound:
             continue
-        for positive_row in permutations(magnitudes):
-            for negative_row in permutations(sorted(-m for m in magnitudes)):
-                values = dict(zip(positive_labels, positive_row))
-                values.update(zip(negative_labels, negative_row))
-                values.update({d: sum(values[l] for l in of) for d, of in sums.items()})
-                for a, b, relation in pairs:
-                    if _decode_pair(rows, a, values[a], b, values[b], triples) != relation:
-                        break
-                else:
-                    found.append(SegmentAssignment(labels, values, dict(roles)))
+        found.extend(
+            SegmentAssignment(labels, place(magnitudes, p, q), dict(roles)) for p, q in types
+        )
     return found
 
 

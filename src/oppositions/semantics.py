@@ -63,11 +63,17 @@ def _compile(vocab: Vocabulary, sentences: Iterable[Sentence]) -> tuple[Callable
             raise TypeError(f"not a matrix: {s!r}")
         return atoms[s.predicate]
 
+    # each leaf's answer by node identity, holding the node so that no other takes its id;
+    # hashing a node instead would walk its whole tree again
+    memo: dict[int, tuple[Sentence, tuple[int, bool]]] = {}
+
     def leaf(s: Sentence) -> tuple[int, bool]:
-        if not isinstance(s, Quantified):
-            raise TypeError(f"not a sentence: {s!r}")
-        inside = _fold(s.matrix, atom, full)
-        return (full ^ inside, True) if s.quantifier == FORALL else (inside, False)
+        if id(s) not in memo:
+            if not isinstance(s, Quantified):
+                raise TypeError(f"not a sentence: {s!r}")
+            inside = _fold(s.matrix, atom, full)
+            memo[id(s)] = s, (full ^ inside, True) if s.quantifier == FORALL else (inside, False)
+        return memo[id(s)][1]
 
     seen: dict[int, int] = {}
     for s in sentences:  # a fold only to reach every leaf; its mask is dropped

@@ -286,6 +286,13 @@ class TestSynthesize:
         assert "A=1 E=2 I=-2 O=-1 U=3 Y=-3" in out
         assert out.strip().endswith("found 2")
 
+    def test_square_clauses_refuse_the_hexagon_at_any_magnitude(self, tmp_path):
+        # no permutation pair decodes to the hexagon, so no support is visited;
+        # in a child with a timeout, so a search that visits them fails instead of hanging
+        argv = ["synthesize", "--clauses", "square", "--magnitude", "1000000"]
+        result = run_child(tmp_path, HEXAGON_CORPUS, argv)
+        assert (result.returncode, result.stdout, result.stderr) == (1, "found 0\n", "")
+
     def test_structured_format(self, capsys, square_file):
         code, out, _ = run(
             capsys,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oppositions import segment
 from oppositions import (
     A_HIGH,
     A_LOW,
@@ -493,6 +494,27 @@ def decoded_targets(draw):
     return cs, decode_graph(candidate, cs), candidate, bound
 
 
+NEGATIVE_ROLES = (Role.EXISTENTIAL, Role.CONJUNCTION)
+
+
+@st.composite
+def square_targets(draw):
+    """The graph the square clauses decode from a random candidate over a
+    symmetric role map of 2, 4 or 8 labels in a random order, any roles of
+    each sign; the candidate itself and a bound up to 6 it fits under."""
+    half = draw(st.sampled_from((1, 2, 4)))
+    labels = tuple(draw(st.permutations([f"L{i}" for i in range(2 * half)])))
+    positive, negative = labels[:half], labels[half:]
+    roles = {l: draw(st.sampled_from(POSITIVE_ROLES)) for l in positive}
+    roles |= {l: draw(st.sampled_from(NEGATIVE_ROLES)) for l in negative}
+    magnitudes = draw(st.lists(st.integers(1, 6), min_size=half, max_size=half, unique=True))
+    values = dict(zip(positive, draw(st.permutations(magnitudes))))
+    values |= dict(zip(negative, draw(st.permutations([-m for m in magnitudes]))))
+    candidate = SegmentAssignment(labels, values, roles)
+    bound = draw(st.integers(max(magnitudes), 6))
+    return decode_graph(candidate, SQUARE), candidate, bound
+
+
 class TestAgainstReferenceSynthesize:
     @pytest.mark.parametrize("cs", [SQUARE, HEXAGON], ids=["square", "hexagon"])
     @pytest.mark.parametrize("corpus", ["square", "hexagon"])
@@ -515,6 +537,34 @@ class TestAgainstReferenceSynthesize:
         found = synthesize(target, cs, bound, roles)
         assert found == _reference_synthesize(target, cs, bound, roles)
         assert values_of(candidate) in [values_of(e) for e in found]
+
+    @settings(max_examples=20, deadline=None)
+    @given(square_targets())
+    def test_square_targets_on_other_role_maps(self, case):
+        target, candidate, bound = case
+        roles = dict(candidate.roles)
+        found = synthesize(target, SQUARE, bound, roles)
+        assert found == _reference_synthesize(target, SQUARE, bound, roles)
+        assert values_of(candidate) in [values_of(e) for e in found]
+
+
+class TestTypeDecision:
+    """Each pair of permutations is decoded once, whatever the magnitude."""
+
+    def test_square_refusal_is_flat_in_magnitude(self, monkeypatch, oracle_hexagon):
+        decode_pair, calls = segment._decode_pair, []
+
+        def counted(*args):
+            calls.append(args)
+            return decode_pair(*args)
+
+        monkeypatch.setattr(segment, "_decode_pair", counted)
+        counts = []
+        for bound in (8, 40):
+            calls.clear()
+            assert synthesize(oracle_hexagon, SQUARE, bound, HEXAGON_ROLES) == []
+            counts.append(len(calls))
+        assert counts[0] == counts[1], counts
 
 
 class TestHexagonClosedForm:
