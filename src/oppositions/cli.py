@@ -2,7 +2,8 @@
 
 Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
-``synthesize`` encodings for a corpus by exhaustive search.
+``synthesize`` every encoding of a corpus within a magnitude bound,
+deciding each pair of value permutations once for every magnitude.
 
 Each subcommand imports only the modules it runs: ``encode`` and
 ``synthesize`` import ``segment``, and ``json`` loads only for structured

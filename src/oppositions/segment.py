@@ -414,9 +414,8 @@ def synthesize(
     triples = tuple(frozenset(with_role[m] + with_role[c]) for m, c in _TRIPLE_ROLES)
     rows, pairs = CLAUSES[cs], tuple(target.pairs())
 
+    # a support's values: permutation p of its magnitudes, q of their ascending negations
     def place(magnitudes: tuple[int, ...], p: tuple[int, ...], q: tuple[int, ...]) -> dict:
-        """The values of a support under permutation p of its magnitudes
-        and permutation q of its ascending negations."""
         negatives = sorted(-m for m in magnitudes)
         values = {l: magnitudes[i] for l, i in zip(positive_labels, p)}
         values.update({l: negatives[i] for l, i in zip(negative_labels, q)})
