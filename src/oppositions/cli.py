@@ -2,16 +2,18 @@
 
 Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
-``synthesize`` every encoding of a corpus within a magnitude bound,
-deciding each pair of value permutations once for every magnitude.
+``synthesize`` every encoding of a corpus within a magnitude bound.
+This module parses arguments, maps errors to exit codes and prints;
+``segment`` decides a corpus's shape, its roles and the default clauses.
 
 Each subcommand imports only the modules it runs: ``encode`` and
 ``synthesize`` import ``segment``, and ``json`` loads only for structured
 output, so ``classify`` and ``graph`` never compile either.
 
 Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
-result); 2 parse or input error, or an ``encode`` number line wider than
-``graph.MAX_SEGMENT_COLUMNS``; 3 vocabulary mismatch; 4 a corpus or
+result); 2 parse or input error, an ``encode`` number line wider than
+``graph.MAX_SEGMENT_COLUMNS``, or more synthesis results than
+``segment.MAX_SOLUTIONS``; 3 vocabulary mismatch; 4 a corpus or
 roles of a shape the command or its clauses cannot take; 5 verification
 mismatch; 70 (EX_SOFTWARE) a bug escaped every other handler; 141
 (128 + SIGPIPE) stdout closed before the payload was written, as under
@@ -26,13 +28,7 @@ import os
 import sys
 from typing import Sequence
 
-from .formula import (
-    REPRESENTATIONS,
-    Sentence,
-    And,
-    Or,
-    make_categorical,
-)
+from .formula import Sentence
 from .graph import (
     A_LOW,
     OppositionGraph,
@@ -161,44 +157,17 @@ def _parse_sentence_arg(text: str, position: str) -> Sentence:
         raise _CliError(f"sentence {position}: {err}", EXIT_PARSE) from None
 
 
-def _detect_shape(corpus: Corpus) -> tuple[str, str]:
-    """Return ('square'|'hexagon', predicate) or raise with exit code 4.
+def _segment_call(call, *args):
+    """``call(*args)`` from ``segment``: ShapeError exits 4, and any other
+    ValueError, such as bad magnitudes or the synthesis cap, exits 2."""
+    from . import segment
 
-    Detection is syntactic: the labels must be A,E,I,O (optionally plus
-    U,Y), each categorical form must match one of its three quantifier
-    representations over a single shared predicate, U must literally be
-    the disjunction of A and E, and Y the conjunction of I and O.
-    """
-    labels = set(corpus.labels)
-    if labels == {"A", "E", "I", "O"}:
-        shape = "square"
-    elif labels == {"A", "E", "I", "O", "U", "Y"}:
-        shape = "hexagon"
-    else:
-        raise _CliError(
-            f"corpus labels {sorted(labels)} are not a categorical square or hexagon",
-            EXIT_SHAPE,
-        )
-    if len(corpus.vocabulary) != 1:
-        raise _CliError(
-            "encoding expects a corpus over a single predicate", EXIT_SHAPE
-        )
-    predicate = corpus.vocabulary.predicates[0]
-    for form in ("A", "E", "I", "O"):
-        sentence = corpus.sentence(form)
-        if not any(
-            sentence == make_categorical(form, predicate, rep) for rep in REPRESENTATIONS
-        ):
-            raise _CliError(
-                f"label {form} is not the categorical {form} form over {predicate}",
-                EXIT_SHAPE,
-            )
-    if shape == "hexagon":
-        if corpus.sentence("U") != Or(corpus.sentence("A"), corpus.sentence("E")):
-            raise _CliError("label U must be the disjunction of A and E", EXIT_SHAPE)
-        if corpus.sentence("Y") != And(corpus.sentence("I"), corpus.sentence("O")):
-            raise _CliError("label Y must be the conjunction of I and O", EXIT_SHAPE)
-    return shape, predicate
+    try:
+        return call(*args)
+    except segment.ShapeError as err:
+        raise _CliError(str(err), EXIT_SHAPE) from None
+    except ValueError as err:
+        raise _CliError(str(err), EXIT_PARSE) from None
 
 
 def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
@@ -259,19 +228,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
-    shape, _ = _detect_shape(corpus)
-    try:
-        assignment = segment.make_square_assignment(args.q, args.r, args.universal_map)
-        if shape == "hexagon":
-            assignment = segment.extend_hexagon(assignment, "U", "Y")
-    except ValueError as err:
-        raise _CliError(str(err), EXIT_PARSE) from None
-    clauses = segment.ClauseSystem(args.clauses or shape)
+    assignment = _segment_call(
+        segment.corpus_assignment, corpus, args.q, args.r, args.universal_map
+    )
+    clauses = segment.clause_system(assignment.roles, args.clauses)
     semantic = _corpus_graph(corpus, args.bound)
-    try:
-        report = segment.verify_against(assignment, clauses, semantic)
-    except segment.ShapeError as err:
-        raise _CliError(str(err), EXIT_SHAPE) from None
+    report = _segment_call(segment.verify_against, assignment, clauses, semantic)
 
     if args.format == "structured":
         import json
@@ -310,19 +272,11 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
-    roles = {}
-    for label, sentence in corpus.entries:
-        roles[label] = segment.infer_role(sentence)
-        if roles[label] is None:
-            raise _CliError(f"cannot infer a polarity role for label {label!r}", EXIT_SHAPE)
+    roles = _segment_call(segment.corpus_roles, corpus)
     target = _corpus_graph(corpus, args.bound)
-    has_hexagon_roles = segment.Role.DISJUNCTION in roles.values()
-    clauses = segment.ClauseSystem(args.clauses or ("hexagon" if has_hexagon_roles else "square"))
+    clauses = segment.clause_system(roles, args.clauses)
     magnitude = args.magnitude if args.magnitude is not None else len(corpus.labels)
-    try:
-        results = segment.synthesize(target, clauses, magnitude, roles)
-    except segment.ShapeError as err:
-        raise _CliError(str(err), EXIT_SHAPE) from None
+    results = _segment_call(segment.synthesize, target, clauses, magnitude, roles)
 
     if args.format == "structured":
         import json

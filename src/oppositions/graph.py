@@ -156,15 +156,17 @@ def graph_equal(g1: OppositionGraph, g2: OppositionGraph) -> bool:
 
 
 def to_dot(g: OppositionGraph) -> str:
-    """Render the graph as DOT, one edge per unordered pair."""
+    """Render the graph as DOT, one edge per unordered pair; a ``"`` in a
+    label is written ``\\"``, the one escape of a DOT quoted ID."""
+    quoted = {node: '"' + node.replace('"', '\\"') + '"' for node in g.nodes}
     lines = ["digraph oppositions {"]
     for node in g.nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f"  {quoted[node]};")
     for a, b, relation in g.pairs():
         if relation.kind is RelationKind.SUBALTERN:
             a, b = relation.source, relation.target
         label = _DOT_CODE[relation.kind]
-        lines.append(f'  "{a}" -> "{b}" [label="{label}"{_DOT_ATTRS[relation.kind]}];')
+        lines.append(f'  {quoted[a]} -> {quoted[b]} [label="{label}"{_DOT_ATTRS[relation.kind]}];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -16,6 +16,9 @@ triples completed by a distinct object, and puts an order row for
 same-signed pairs before the square's subalternation row.  Decoding
 takes the first relation fired, so every pair receives exactly one;
 decoding and synthesis share that one pair scan.
+
+Only this module knows which labels and forms make a categorical square
+or hexagon corpus, its sentences' roles, and the clauses roles default to.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
+from math import comb
 from typing import Callable, Mapping
 
-from .formula import FORALL, Sentence, And, Not, Or, Quantified
+from .formula import FORALL, REPRESENTATIONS, Sentence, And, Not, Or, Quantified
+from .formula import make_categorical
 from .graph import (  # A_HIGH, A_LOW and UNIVERSAL_MAPS are re-exported
     A_HIGH,
     A_LOW,
@@ -39,6 +44,7 @@ from .graph import (  # A_HIGH, A_LOW and UNIVERSAL_MAPS are re-exported
     UNIVERSAL_MAPS,
     subaltern,
 )
+from .parser import Corpus
 
 
 class Role(Enum):
@@ -180,6 +186,52 @@ def extend_hexagon(
     values = dict(e.values) | {label_u: positive, label_y: negative}
     roles = dict(e.roles) | {label_u: Role.DISJUNCTION, label_y: Role.CONJUNCTION}
     return SegmentAssignment(labels, values, roles)
+
+
+# --- categorical corpora ---
+
+
+def corpus_assignment(corpus: Corpus, q: int, r: int, universal_map: str) -> SegmentAssignment:
+    """The square assignment of a categorical corpus, extended for a hexagon.
+
+    ShapeError names the first syntactic failure: labels other than A, E,
+    I, O (plus U, Y), more than one predicate, a form in none of the three
+    quantifier representations, or U not literally A | E or Y not I & O.
+    Only then does ``make_square_assignment`` check the magnitudes.
+    """
+    labels = set(corpus.labels)
+    hexagon = labels == set("AEIOUY")
+    if not hexagon and labels != set("AEIO"):
+        raise ShapeError(f"corpus labels {sorted(labels)} are not a categorical square or hexagon")
+    if len(corpus.vocabulary) != 1:
+        raise ShapeError("encoding expects a corpus over a single predicate")
+    (predicate,) = corpus.vocabulary.predicates
+    s = corpus.sentence
+    for form in "AEIO":
+        if s(form) not in (make_categorical(form, predicate, rep) for rep in REPRESENTATIONS):
+            raise ShapeError(f"label {form} is not the categorical {form} form over {predicate}")
+    if hexagon and s("U") != Or(s("A"), s("E")):
+        raise ShapeError("label U must be the disjunction of A and E")
+    if hexagon and s("Y") != And(s("I"), s("O")):
+        raise ShapeError("label Y must be the conjunction of I and O")
+    square = make_square_assignment(q, r, universal_map)
+    return extend_hexagon(square) if hexagon else square
+
+
+def corpus_roles(corpus: Corpus) -> dict[str, Role]:
+    """Each label's ``infer_role``, or ShapeError for the first without one."""
+    roles = {label: infer_role(sentence) for label, sentence in corpus.entries}
+    missing = [label for label, role in roles.items() if role is None]
+    if missing:
+        raise ShapeError(f"cannot infer a polarity role for label {missing[0]!r}")
+    return roles
+
+
+def clause_system(roles: Mapping[str, Role], name: str | None = None) -> ClauseSystem:
+    """The system ``name``, else the hexagon's if a label is a disjunction."""
+    if name is not None:
+        return ClauseSystem(name)
+    return ClauseSystem.HEXAGON if Role.DISJUNCTION in roles.values() else ClauseSystem.SQUARE
 
 
 # --- the clause tables ---
@@ -371,6 +423,8 @@ def verify_against(
 
 # --- bounded synthesis ---
 
+MAX_SOLUTIONS = 100_000  # the most assignments one synthesize call holds
+
 
 def synthesize(
     target: OppositionGraph,
@@ -392,9 +446,11 @@ def synthesize(
     least magnitudes, and only the pairs that decode to the target are
     built on each support.  When no pair does, the result is empty at
     every bound, and no support is visited; roles that admit no candidate
-    at all raise ShapeError instead.  Results come in a canonical order:
-    supports by ascending magnitude tuple, then positive and negative
-    value rows lexicographically.
+    at all raise ShapeError instead.  Each decoding pair gives one result
+    per admitted support, so the count is known before any is built: past
+    ``MAX_SOLUTIONS`` it raises ValueError.  Results come in a canonical
+    order: supports by ascending magnitude tuple, then positive and
+    negative value rows lexicographically.
     """
     if magnitude_bound < 1:
         raise ValueError("magnitude bound must be at least 1")
@@ -437,6 +493,13 @@ def synthesize(
                 types.append((p, q))
     if not types:
         return []
+    # hexagon clauses leave two free magnitudes, m1 < m2 with m1 + m2 within the bound
+    supports = (magnitude_bound - 1) ** 2 // 4 if sums else comb(magnitude_bound, len(least))
+    if (count := len(types) * supports) > MAX_SOLUTIONS:
+        raise ValueError(
+            f"{count} assignments within magnitude {magnitude_bound} "
+            f"pass the limit of {MAX_SOLUTIONS}"
+        )
     found: list[SegmentAssignment] = []
     for magnitudes in combinations(range(1, magnitude_bound + 1), len(positive_labels)):
         if sums and sum(magnitudes) > magnitude_bound:

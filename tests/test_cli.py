@@ -293,6 +293,14 @@ class TestSynthesize:
         result = run_child(tmp_path, HEXAGON_CORPUS, argv)
         assert (result.returncode, result.stdout, result.stderr) == (1, "found 0\n", "")
 
+    def test_hexagon_clauses_refuse_a_result_past_the_cap(self, tmp_path):
+        # about 5 * 10**11 solutions: refused from their count, before any is built
+        argv = ["synthesize", "--clauses", "hexagon", "--magnitude", "1000000"]
+        result = run_child(tmp_path, HEXAGON_CORPUS, argv)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "limit of 100000" in result.stderr
+
     def test_structured_format(self, capsys, square_file):
         code, out, _ = run(
             capsys,
@@ -367,6 +375,67 @@ class TestShapeErrors:
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "corpus,argv,line",
+        [
+            (
+                "A: A[P]\nB: E[P]",
+                ("encode",),
+                "corpus labels ['A', 'B'] are not a categorical square or hexagon",
+            ),
+            (
+                "A: A[P]\nE: E[Q]\nI: I[P]\nO: O[P]",
+                ("encode",),
+                "encoding expects a corpus over a single predicate",
+            ),
+            (
+                "A: A[P]\nE: E[P]\nI: I[P]\nO: A[P]",
+                ("encode",),
+                "label O is not the categorical O form over P",
+            ),
+            (
+                SQUARE_CORPUS + "\nU: A[P] | I[P]\nY: Y[P]",
+                ("encode",),
+                "label U must be the disjunction of A and E",
+            ),
+            (
+                SQUARE_CORPUS + "\nU: U[P]\nY: I[P] | O[P]",
+                ("encode",),
+                "label Y must be the conjunction of I and O",
+            ),
+            (
+                "A: A[P]\nC: A[P] -> I[P]",
+                ("synthesize",),
+                "cannot infer a polarity role for label 'C'",
+            ),
+            # the shape comes before the magnitudes, and roles before the oracle's note
+            (
+                SQUARE_CORPUS + "\nU: A[P] | I[P]\nY: Y[P]",
+                ("encode", "--q", "2", "--r", "2"),
+                "label U must be the disjunction of A and E",
+            ),
+            (
+                "A: A[P]\nC: A[P] -> I[P]",
+                ("synthesize", "--bound", "1"),
+                "cannot infer a polarity role for label 'C'",
+            ),
+        ],
+        ids=[
+            "labels",
+            "predicates",
+            "form",
+            "disjunction",
+            "conjunction",
+            "role",
+            "disjunction-before-magnitudes",
+            "role-before-bound-note",
+        ],
+    )
+    def test_exact_message(self, tmp_path, corpus, argv, line):
+        done = run_child(tmp_path, corpus, argv)
+        assert (done.returncode, done.stdout, done.stderr) == (4, "", f"error: {line}\n")
 
 
 class TestBoundErrors:

@@ -13,11 +13,13 @@ from oppositions import (
     Role,
     SegmentAssignment,
     UNCONNECTED,
+    build_graph,
     decode_graph,
     extend_hexagon,
     from_structured,
     graph_equal,
     make_square_assignment,
+    parse_corpus,
     render_segment,
     subaltern,
     to_dot,
@@ -135,6 +137,17 @@ class TestToDot:
         assert '"A" -> "E" [label="c", style=solid, dir=none];' in text
         assert '"I" -> "O" [label="sc", style=dotted, dir=none];' in text
         assert '"A" -> "I" [label="s"];' in text
+
+
+    def test_quote_in_label_is_escaped(self):
+        g = build_graph(parse_corpus('a"b: A[P]\nc: O[P]'))
+        assert to_dot(g).split("\n") == [
+            "digraph oppositions {",
+            '  "a\\"b";',
+            '  "c";',
+            '  "a\\"b" -> "c" [label="d", style=dashed, dir=none];',
+            "}",
+        ]
 
 
 class TestStructured:

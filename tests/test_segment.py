@@ -10,9 +10,14 @@ from oppositions import (
     A_LOW,
     CONTRADICTORY,
     CONTRARY,
+    REPRESENTATIONS,
     SUBCONTRARY,
+    And,
     AssignmentError,
     ClauseSystem,
+    Corpus,
+    Or,
+    Vocabulary,
     RelationKind,
     Role,
     SegmentAssignment,
@@ -24,6 +29,7 @@ from oppositions import (
     extend_hexagon,
     graph_equal,
     infer_role,
+    make_categorical,
     make_square_assignment,
     parse_corpus,
     parse_sentence,
@@ -586,6 +592,111 @@ class TestHexagonClosedForm:
         found = synthesize(oracle_hexagon, HEXAGON, bound, HEXAGON_ROLES)
         assert [values_of(e) for e in found] == expected
         assert len(found) == count
+
+
+class TestSynthesisCap:
+    def test_a_result_at_the_cap_is_listed(self, monkeypatch, oracle_hexagon):
+        # two decoding pairs on the two supports (1, 2) and (1, 3) of magnitude 4
+        monkeypatch.setattr(segment, "MAX_SOLUTIONS", 4)
+        assert len(synthesize(oracle_hexagon, HEXAGON, 4, HEXAGON_ROLES)) == 4
+
+    @pytest.mark.parametrize(
+        "target,cs,bound,roles,count",
+        [("hexagon", HEXAGON, 4, HEXAGON_ROLES, 4), ("square", SQUARE, 3, SQUARE_ROLES, 6)],
+    )
+    def test_past_the_cap_raises_before_building(
+        self, monkeypatch, oracle_square, oracle_hexagon, target, cs, bound, roles, count
+    ):
+        graph = {"square": oracle_square, "hexagon": oracle_hexagon}[target]
+        assert len(synthesize(graph, cs, bound, roles)) == count
+        built = []
+        monkeypatch.setattr(segment, "MAX_SOLUTIONS", count - 1)
+        monkeypatch.setattr(SegmentAssignment, "__post_init__", lambda self: built.append(self))
+        with pytest.raises(ValueError, match=f"{count} assignments .* limit of {count - 1}"):
+            synthesize(graph, cs, bound, roles)
+        assert built == []
+
+    def test_nothing_to_list_is_no_error(self, monkeypatch, oracle_hexagon):
+        monkeypatch.setattr(segment, "MAX_SOLUTIONS", 0)
+        assert synthesize(oracle_hexagon, SQUARE, 10**6, HEXAGON_ROLES) == []
+
+
+def categorical_corpus(lines):
+    return parse_corpus("\n".join(lines))
+
+
+class TestCorpusAssignment:
+    @pytest.mark.parametrize("hexagon", [False, True], ids=["square", "hexagon"])
+    def test_every_mix_of_representations(self, hexagon):
+        expected = make_square_assignment(2, 5, A_HIGH)
+        if hexagon:
+            expected = extend_hexagon(expected)
+        for reps in itertools.product(REPRESENTATIONS, repeat=4):
+            forms = {f: make_categorical(f, "P", rep) for f, rep in zip("AEIO", reps)}
+            if hexagon:
+                forms |= {"U": Or(forms["A"], forms["E"]), "Y": And(forms["I"], forms["O"])}
+            corpus = Corpus(tuple(forms.items()), Vocabulary.of("P"))
+            assert segment.corpus_assignment(corpus, 2, 5, A_HIGH) == expected, reps
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (
+                ["A: A[P]", "B: E[P]"],
+                "corpus labels ['A', 'B'] are not a categorical square or hexagon",
+            ),
+            (
+                ["A: A[P]", "E: E[Q]", "I: I[P]", "O: O[P]"],
+                "encoding expects a corpus over a single predicate",
+            ),
+            (
+                ["A: A[P]", "E: E[P]", "I: I[P]", "O: A[P]"],
+                "label O is not the categorical O form over P",
+            ),
+            (
+                ["A: A[P]", "E: E[P]", "I: I[P]", "O: O[P]", "U: E[P] | A[P]", "Y: Y[P]"],
+                "label U must be the disjunction of A and E",
+            ),
+            (
+                ["A: A[P]", "E: E[P]", "I: I[P]", "O: O[P]", "U: U[P]", "Y: O[P] & I[P]"],
+                "label Y must be the conjunction of I and O",
+            ),
+        ],
+        ids=["labels", "predicates", "form", "disjunction", "conjunction"],
+    )
+    def test_shape_errors_come_before_magnitudes(self, lines, message):
+        with pytest.raises(ShapeError) as raised:
+            segment.corpus_assignment(categorical_corpus(lines), 2, 2, "a-middle")
+        assert str(raised.value) == message
+
+    def test_magnitudes_are_checked_on_a_good_shape(self, hexagon_corpus):
+        with pytest.raises(AssignmentError, match="distinct"):
+            segment.corpus_assignment(hexagon_corpus, 2, 2, A_LOW)
+
+
+class TestCorpusRoles:
+    def test_hexagon(self, hexagon_corpus):
+        assert segment.corpus_roles(hexagon_corpus) == HEXAGON_ROLES
+
+    def test_first_label_without_a_role_is_named(self):
+        corpus = categorical_corpus(["A: A[P]", "C: A[P] -> I[P]", "D: I[P] -> A[P]"])
+        with pytest.raises(ShapeError, match="^cannot infer a polarity role for label 'C'$"):
+            segment.corpus_roles(corpus)
+
+
+class TestClauseSystem:
+    def test_default_follows_the_disjunction(self):
+        assert segment.clause_system(SQUARE_ROLES) is SQUARE
+        assert segment.clause_system(HEXAGON_ROLES) is HEXAGON
+        assert segment.clause_system({"A": Role.UNIVERSAL, "Y": Role.CONJUNCTION}) is SQUARE
+
+    def test_a_name_overrides_the_default(self):
+        assert segment.clause_system(SQUARE_ROLES, "hexagon") is HEXAGON
+        assert segment.clause_system(HEXAGON_ROLES, "square") is SQUARE
+
+    def test_encode_default_is_the_shape(self, worked_square, worked_hexagon):
+        assert segment.clause_system(worked_square.roles) is SQUARE
+        assert segment.clause_system(worked_hexagon.roles) is HEXAGON
 
 
 class TestInferRole:
