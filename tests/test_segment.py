@@ -17,11 +17,11 @@ from oppositions import (
     ClauseSystem,
     Corpus,
     Or,
-    Vocabulary,
     RelationKind,
     Role,
     SegmentAssignment,
     ShapeError,
+    Vocabulary,
     build_graph,
     clause_matches,
     contrary_triple,
