@@ -8,17 +8,19 @@ This module parses arguments, maps errors to exit codes and prints;
 
 Each subcommand imports only the modules it runs: ``encode`` and
 ``synthesize`` import ``segment``, and ``json`` loads only for structured
-output, so ``classify`` and ``graph`` never compile either.
+output, so ``classify`` and ``graph`` never compile either.  No command
+imports ``dataclasses``: records derive from ``formula.Record``.
 
 Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
 result); 2 parse or input error, an ``encode`` number line wider than
-``graph.MAX_SEGMENT_COLUMNS``, or more synthesis results than
-``segment.MAX_SOLUTIONS``; 3 vocabulary mismatch; 4 a corpus or
-roles of a shape the command or its clauses cannot take; 5 verification
-mismatch; 70 (EX_SOFTWARE) a bug escaped every other handler; 141
-(128 + SIGPIPE) stdout closed before the payload was written, as under
-``| head -1``, with nothing on stderr.  Stdout carries only payload;
-diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``.
+``graph.MAX_SEGMENT_COLUMNS``, a ``graph --format dot`` label ending in
+a backslash, or more synthesis results than ``segment.MAX_SOLUTIONS``;
+3 vocabulary mismatch; 4 a corpus or roles of a shape the command or
+its clauses cannot take; 5 verification mismatch; 70 (EX_SOFTWARE) a
+bug escaped every other handler; 141 (128 + SIGPIPE) stdout closed
+before the payload was written, as under ``| head -1``, with nothing on
+stderr.  Stdout carries only payload; diagnostics go to stderr, as does
+a ``note:`` on an inexact ``--bound``.
 """
 
 from __future__ import annotations
@@ -211,7 +213,11 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     if args.format == "structured":
         print(to_structured(graph))
     elif args.format == "dot":
-        print(to_dot(graph))
+        try:  # a label ending in a backslash, refused before anything is printed
+            text = to_dot(graph)
+        except ValueError as err:
+            raise _CliError(str(err), EXIT_PARSE) from None
+        print(text)
     else:
         print(_graph_text(graph))
     return EXIT_OK

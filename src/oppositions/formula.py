@@ -11,8 +11,6 @@ and conjunctive corners of the hexagon only need top-level connectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 FORALL = "forall"
 EXISTS = "exists"
 QUANTIFIERS = (FORALL, EXISTS)
@@ -25,10 +23,95 @@ EXISTENTIAL_ONLY = "existential-only"
 REPRESENTATIONS = (MIXED, UNIVERSAL_ONLY, EXISTENTIAL_ONLY)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class _LazyFields:
+    """A record class's ``__dataclass_fields__``, built on first access and
+    then cached on the class, so that ``dataclasses.fields``, ``asdict``
+    and ``is_dataclass`` read records while only they import
+    ``dataclasses``."""
+
+    def __get__(self, instance: object, owner: type) -> dict:
+        import dataclasses
+
+        missing = dataclasses.MISSING
+        fields = [
+            (name, owner.__annotations__[name],
+             dataclasses.field(default=owner._defaults.get(name, missing)))
+            for name in owner._fields
+        ]
+        owner.__dataclass_fields__ = dataclasses.make_dataclass(
+            owner.__name__, fields
+        ).__dataclass_fields__
+        return owner.__dataclass_fields__
+
+
+class Record:
+    """Base of the package's immutable value classes, in place of frozen
+    dataclasses, whose generated code costs every command its start-up.
+
+    A subclass names its fields in ``__slots__`` (a ``"__dict__"`` entry
+    there makes room for ``cached_property`` and is not a field) and the
+    defaults of trailing ones in ``_defaults``.  Records are built from
+    positional or keyword fields, then ``__post_init__`` checks them; they
+    compare equal when of the same class with equal fields, hash by their
+    fields, print as ``Name(field=value, ...)``, refuse assignment and
+    deletion, and pickle and copy through ``__reduce__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n != "__dict__")
+        # each slot's own setter, which the refusing __setattr__ cannot reach
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
+        if cls._fields:
+            cls.__dataclass_fields__ = _LazyFields()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args = tuple(values[name] for name in names)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Vocabulary(Record):
     """Ordered collection of unary predicate names."""
 
+    __slots__ = ("predicates",)
     predicates: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -54,22 +137,24 @@ class Vocabulary:
 # --- one node family for matrices and sentences ---
 
 
-class Sentence:
+class Sentence(Record):
     """A node of a sentence or of the matrix under its quantifier; the
-    fieldless base of the six node dataclasses, not one itself."""
+    fieldless base of the six node records, not one itself."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Sentence):
     """A predicate applied to the bound variable; a leaf of a matrix."""
 
+    __slots__ = ("predicate",)
     predicate: str
 
 
-@dataclass(frozen=True)
 class Quantified(Sentence):
     """A quantifier over a matrix; a leaf of a sentence."""
 
+    __slots__ = ("quantifier", "matrix")
     quantifier: str
     matrix: Sentence
 
@@ -78,25 +163,25 @@ class Quantified(Sentence):
             raise ValueError(f"unknown quantifier: {self.quantifier!r}")
 
 
-@dataclass(frozen=True)
 class Not(Sentence):
+    __slots__ = ("body",)
     body: Sentence
 
 
-@dataclass(frozen=True)
 class And(Sentence):
+    __slots__ = ("left", "right")
     left: Sentence
     right: Sentence
 
 
-@dataclass(frozen=True)
 class Or(Sentence):
+    __slots__ = ("left", "right")
     left: Sentence
     right: Sentence
 
 
-@dataclass(frozen=True)
 class Implies(Sentence):
+    __slots__ = ("left", "right")
     left: Sentence
     right: Sentence
 

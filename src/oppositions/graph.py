@@ -8,10 +8,11 @@ ASCII rendering of integer segment assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Any, Iterator, Mapping
+
+from .formula import Record
 
 SCHEMA_VERSION = 1
 
@@ -53,13 +54,14 @@ _DOT_ATTRS = {
 }
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """One opposition relation; subalternation carries a direction."""
 
+    __slots__ = ("kind", "source", "target")
+    _defaults = {"source": None, "target": None}
     kind: RelationKind
-    source: str | None = None
-    target: str | None = None
+    source: str | None
+    target: str | None
 
     def __post_init__(self) -> None:
         directed = self.kind is RelationKind.SUBALTERN
@@ -157,7 +159,12 @@ def graph_equal(g1: OppositionGraph, g2: OppositionGraph) -> bool:
 
 def to_dot(g: OppositionGraph) -> str:
     """Render the graph as DOT, one edge per unordered pair; a ``"`` in a
-    label is written ``\\"``, the one escape of a DOT quoted ID."""
+    label is written ``\\"``, the one escape of a DOT quoted ID.  A label
+    that ends in ``\\`` would escape its closing quote, so it raises
+    ValueError."""
+    for node in g.nodes:
+        if node.endswith("\\"):
+            raise ValueError(f"DOT cannot quote the label {node}: it ends in a backslash")
     quoted = {node: '"' + node.replace('"', '\\"') + '"' for node in g.nodes}
     lines = ["digraph oppositions {"]
     for node in g.nodes:

@@ -27,7 +27,6 @@ and has no whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .formula import (
@@ -39,6 +38,7 @@ from .formula import (
     Sentence,
     Not,
     Quantified,
+    Record,
     Vocabulary,
     make_categorical,
     sentence_predicates,
@@ -61,10 +61,10 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Ordered labelled sentences over a shared inferred vocabulary."""
 
+    __slots__ = ("entries", "vocabulary", "__dict__")
     entries: tuple[tuple[str, Sentence], ...]
     vocabulary: Vocabulary
 
@@ -86,8 +86,8 @@ class Corpus:
 _TOKEN_RE = re.compile(r"->|[()\[\].~&|]|[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
+    __slots__ = ("text", "line", "col")
     text: str
     line: int
     col: int

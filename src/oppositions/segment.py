@@ -24,14 +24,13 @@ or hexagon corpus, its sentences' roles, and the clauses roles default to.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Mapping
 
 from .formula import FORALL, REPRESENTATIONS, Sentence, And, Not, Or, Quantified
-from .formula import make_categorical
+from .formula import Record, make_categorical
 from .graph import (  # A_HIGH, A_LOW and UNIVERSAL_MAPS are re-exported
     A_HIGH,
     A_LOW,
@@ -80,10 +79,10 @@ class ShapeError(ValueError):
     """An assignment does not have the shape an operation requires."""
 
 
-@dataclass(frozen=True)
-class SegmentAssignment:
+class SegmentAssignment(Record):
     """Injective map from labels to nonzero integers on a symmetric support."""
 
+    __slots__ = ("labels", "values", "roles")
     labels: tuple[str, ...]
     values: Mapping[str, int]
     roles: Mapping[str, Role]
@@ -371,18 +370,18 @@ def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
 # --- verification against the semantic oracle ---
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
+    __slots__ = ("a", "b", "decoded", "semantic")
     a: str
     b: str
     decoded: Relation
     semantic: Relation
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Pairwise comparison of a decoded graph with a semantic graph."""
 
+    __slots__ = ("mismatches",)
     mismatches: tuple[Mismatch, ...]
 
     @property

@@ -13,11 +13,10 @@ by bitwise algebra on two masks.  Domains are nonempty throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .formula import FORALL, Atom, Sentence, And, Implies, Not, Or, Quantified
+from .formula import FORALL, Atom, Sentence, And, Implies, Not, Or, Quantified, Record
 from .formula import Vocabulary, sentence_predicates
 from .graph import CONTRADICTORY, CONTRARY, EQUIVALENT, SUBCONTRARY, UNCONNECTED
 from .graph import OppositionGraph, Relation, subaltern
@@ -140,10 +139,10 @@ class _Vectors:
         return Evidence(ta & tb != 0, ta | tb != self.all, ta & ~tb == 0, tb & ~ta == 0)
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(Record):
     """Truth-combination evidence gathered over all models in the bound."""
 
+    __slots__ = ("both_true", "both_false", "first_entails_second", "second_entails_first")
     both_true: bool
     both_false: bool
     first_entails_second: bool

@@ -133,6 +133,15 @@ class TestGraph:
         assert out.startswith("digraph")
         assert out.count("->") == 15
 
+    def test_dot_refuses_a_label_that_ends_in_a_backslash(self, capsys, tmp_path):
+        path = tmp_path / "backslash.corpus"
+        path.write_text("a\\: A[P]\nb: O[P]\n", encoding="utf-8")
+        code, out, err = run(capsys, "graph", "--corpus", str(path), "--format", "dot")
+        assert (code, out) == (2, "")
+        assert err == "error: DOT cannot quote the label a\\: it ends in a backslash\n"
+        code, out, _ = run(capsys, "graph", "--corpus", str(path))
+        assert (code, out) == (0, "a\\ b contradictory\n")
+
     def test_empty_corpus(self, capsys, tmp_path):
         path = tmp_path / "empty.corpus"
         path.write_text("", encoding="utf-8")
@@ -525,6 +534,11 @@ ORACLE_MODULES = {
 }
 
 
+# Records are __slots__ classes, so only field introspection imports
+# dataclasses, which pulls in inspect, ast and dis.
+NEVER_LOADED = {"dataclasses", "inspect"}
+
+
 def loaded_modules(tmp_path, corpus, argv):
     """The modules a child imports to run the CLI on argv, past its own start."""
     done = subprocess.run(
@@ -552,12 +566,19 @@ class TestImportContract:
     def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, json_free):
         loaded = loaded_modules(tmp_path, corpus, argv)
         assert {m for m in loaded if m.startswith("oppositions")} == ORACLE_MODULES
+        assert not NEVER_LOADED & loaded
         if json_free:
             assert "json" not in loaded
 
     def test_encode_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", "structured"))
         assert "oppositions.segment" in loaded
+        assert not NEVER_LOADED & loaded
+
+    def test_synthesize_loads_segment(self, tmp_path):
+        loaded = loaded_modules(tmp_path, HEXAGON_CORPUS, ("synthesize",))
+        assert "oppositions.segment" in loaded
+        assert not NEVER_LOADED & loaded
 
 
 class TestBrokenPipe:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from oppositions import (
@@ -6,6 +10,7 @@ from oppositions import (
     REPRESENTATIONS,
     Atom,
     And,
+    Implies,
     Not,
     Or,
     Quantified,
@@ -14,7 +19,12 @@ from oppositions import (
     print_sentence,
     sentence_predicates,
 )
-from oppositions.formula import EXISTENTIAL_ONLY, MIXED, UNIVERSAL_ONLY
+from oppositions.formula import EXISTENTIAL_ONLY, MIXED, UNIVERSAL_ONLY, Sentence
+from oppositions.graph import Relation, RelationKind, subaltern
+from oppositions.parser import _Token, parse_corpus
+from oppositions.segment import Mismatch, Role, SegmentAssignment, VerificationReport
+from oppositions.segment import make_square_assignment
+from oppositions.semantics import Evidence
 
 P = Atom("P")
 
@@ -101,3 +111,222 @@ class TestVocabulary:
     def test_predicate_order_is_first_occurrence(self):
         s = And(make_categorical("A", "Q"), make_categorical("I", "P"))
         assert sentence_predicates(s) == ("Q", "P")
+
+
+# --- records: the value classes behind sentences, corpora and reports ---
+
+Q = Atom("Q")
+MISMATCH = Mismatch("A", "U", Relation(RelationKind.CONTRARY), subaltern("A", "U"))
+
+# One record of every record class, built afresh on each call, next to the
+# repr that the frozen dataclass it replaced printed.
+RECORDS = {
+    "Vocabulary": (
+        lambda: Vocabulary(("P", "Q")),
+        "Vocabulary(predicates=('P', 'Q'))",
+    ),
+    "Atom": (lambda: Atom("P"), "Atom(predicate='P')"),
+    "Quantified": (
+        lambda: Quantified(FORALL, Not(P)),
+        "Quantified(quantifier='forall', matrix=Not(body=Atom(predicate='P')))",
+    ),
+    "Not": (
+        lambda: Not(Quantified(EXISTS, P)),
+        "Not(body=Quantified(quantifier='exists', matrix=Atom(predicate='P')))",
+    ),
+    "And": (lambda: And(P, Q), "And(left=Atom(predicate='P'), right=Atom(predicate='Q'))"),
+    "Or": (lambda: Or(P, Q), "Or(left=Atom(predicate='P'), right=Atom(predicate='Q'))"),
+    "Implies": (
+        lambda: Implies(P, Q),
+        "Implies(left=Atom(predicate='P'), right=Atom(predicate='Q'))",
+    ),
+    "Corpus": (
+        lambda: parse_corpus("A: A[P]\nO: O[P]"),
+        "Corpus(entries=(('A', Quantified(quantifier='forall', matrix=Atom(predicate='P'))), "
+        "('O', Quantified(quantifier='exists', matrix=Not(body=Atom(predicate='P'))))), "
+        "vocabulary=Vocabulary(predicates=('P',)))",
+    ),
+    "_Token": (lambda: _Token("A", 1, 3), "_Token(text='A', line=1, col=3)"),
+    "Relation": (
+        lambda: Relation(RelationKind.CONTRARY),
+        "Relation(kind=<RelationKind.CONTRARY: 'contrary'>, source=None, target=None)",
+    ),
+    "Relation-subaltern": (
+        lambda: Relation(RelationKind.SUBALTERN, "A", "I"),
+        "Relation(kind=<RelationKind.SUBALTERN: 'subaltern'>, source='A', target='I')",
+    ),
+    "Evidence": (
+        lambda: Evidence(True, False, True, False),
+        "Evidence(both_true=True, both_false=False, first_entails_second=True, "
+        "second_entails_first=False)",
+    ),
+    "SegmentAssignment": (
+        lambda: make_square_assignment(1, 2),
+        "SegmentAssignment(labels=('A', 'E', 'I', 'O'), "
+        "values={'A': 1, 'E': 2, 'I': -2, 'O': -1}, "
+        "roles={'A': <Role.UNIVERSAL: 'universal'>, 'E': <Role.UNIVERSAL: 'universal'>, "
+        "'I': <Role.EXISTENTIAL: 'existential'>, 'O': <Role.EXISTENTIAL: 'existential'>})",
+    ),
+    "Mismatch": (
+        lambda: Mismatch("A", "U", Relation(RelationKind.CONTRARY), subaltern("A", "U")),
+        "Mismatch(a='A', b='U', "
+        "decoded=Relation(kind=<RelationKind.CONTRARY: 'contrary'>, source=None, target=None), "
+        "semantic=Relation(kind=<RelationKind.SUBALTERN: 'subaltern'>, source='A', target='U'))",
+    ),
+    "VerificationReport": (
+        lambda: VerificationReport((MISMATCH,)),
+        "VerificationReport(mismatches=(Mismatch(a='A', b='U', "
+        "decoded=Relation(kind=<RelationKind.CONTRARY: 'contrary'>, source=None, target=None), "
+        "semantic=Relation(kind=<RelationKind.SUBALTERN: 'subaltern'>, source='A', target='U'"
+        ")),))",
+    ),
+}
+MAKERS = [make for make, _ in RECORDS.values()]
+# a segment assignment holds dicts, so like its dataclass it has no hash
+HASHABLE = [make for name, (make, _) in RECORDS.items() if name != "SegmentAssignment"]
+
+
+def field_values(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+class TestRecord:
+    @pytest.mark.parametrize("make,text", RECORDS.values(), ids=RECORDS)
+    def test_repr_is_the_dataclass_repr(self, make, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("make", MAKERS, ids=RECORDS)
+    def test_equal_by_value_and_keyword_built_alike(self, make):
+        record = make()
+        assert record == make()
+        assert not record != make()
+        assert type(record)(**field_values(record)) == record
+        assert type(record)(*field_values(record).values()) == record
+
+    @pytest.mark.parametrize("make", HASHABLE)
+    def test_equal_values_hash_equally(self, make):
+        assert hash(make()) == hash(make())
+        assert len({make(), make()}) == 1
+
+    def test_segment_assignment_has_no_hash(self):
+        with pytest.raises(TypeError):
+            hash(make_square_assignment(1, 2))
+
+    def test_equality_needs_the_same_class(self):
+        assert And(P, Q) != Or(P, Q)
+        assert Or(P, Q) != Implies(P, Q)
+        assert And(P, Q) != And(Q, P)
+        assert Atom("P") != ("P",)
+        assert len({And(P, Q), Or(P, Q), Implies(P, Q)}) == 3
+
+    def test_defaults_and_wrong_fields(self):
+        assert Relation(RelationKind.EQUIVALENT) == Relation(kind=RelationKind.EQUIVALENT)
+        assert Relation(RelationKind.SUBALTERN, target="I", source="A") == subaltern("A", "I")
+        for build in (
+            lambda: And(P),
+            lambda: And(P, Q, P),
+            lambda: And(P, left=P),
+            lambda: Atom(name="P"),
+            lambda: Relation(),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+    @pytest.mark.parametrize("make", MAKERS, ids=RECORDS)
+    def test_assignment_and_deletion_raise(self, make):
+        record = make()
+        name = dataclasses.fields(record)[0].name
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) is before
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Vocabulary(()),
+            lambda: Vocabulary(("P", "P")),
+            lambda: Vocabulary(("p",)),
+            lambda: Quantified("some", P),
+            lambda: Relation(RelationKind.SUBALTERN, "A"),
+            lambda: Relation(RelationKind.CONTRARY, "A", "E"),
+            lambda: SegmentAssignment(("A", "A"), {"A": 1}, {"A": Role.UNIVERSAL}),
+            lambda: SegmentAssignment(("A",), {"A": 1}, {}),
+            lambda: SegmentAssignment(("A", "O"), {"A": 0, "O": 0},
+                                      {"A": Role.UNIVERSAL, "O": Role.EXISTENTIAL}),
+            lambda: SegmentAssignment(("A", "O"), {"A": 1, "O": 1},
+                                      {"A": Role.UNIVERSAL, "O": Role.EXISTENTIAL}),
+            lambda: SegmentAssignment(("A", "O"), {"A": 1, "O": -2},
+                                      {"A": Role.UNIVERSAL, "O": Role.EXISTENTIAL}),
+            lambda: SegmentAssignment(("A", "O"), {"A": -1, "O": 1},
+                                      {"A": Role.UNIVERSAL, "O": Role.EXISTENTIAL}),
+        ],
+        ids=[
+            "empty-vocabulary", "repeated-predicate", "lowercase-predicate",
+            "unknown-quantifier", "subaltern-without-target", "directed-contrary",
+            "repeated-label", "uncovered-role", "zero", "not-injective", "not-symmetric",
+            "sign-against-role",
+        ],
+    )
+    def test_post_init_checks_raise_value_error(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    @pytest.mark.parametrize("make", MAKERS, ids=RECORDS)
+    def test_pickle_and_copy_round_trip(self, make, round_trip):
+        record = make()
+        twin = round_trip(record)
+        assert type(twin) is type(record)
+        assert twin == record
+        assert repr(twin) == repr(record)
+
+    def test_corpus_caches_its_label_index(self):
+        corpus = parse_corpus("A: A[P]\nO: O[P]")
+        assert corpus.sentence("O") == make_categorical("O", "P")
+        assert corpus == parse_corpus("A: A[P]\nO: O[P]")
+        assert copy.deepcopy(corpus).sentence("A") == make_categorical("A", "P")
+
+
+class TestDataclassIntrospection:
+    """Records answer ``dataclasses``'s field queries, which counters over
+    sentence trees (such as the benchmark's node count) walk."""
+
+    @pytest.mark.parametrize("make", MAKERS, ids=RECORDS)
+    def test_every_record_is_a_dataclass_instance(self, make):
+        record = make()
+        assert dataclasses.is_dataclass(record)
+        shown = ", ".join(f"{name}={value!r}" for name, value in field_values(record).items())
+        assert repr(record) == f"{type(record).__qualname__}({shown})"
+
+    def test_fields_keep_names_order_and_defaults(self):
+        assert [f.name for f in dataclasses.fields(And)] == ["left", "right"]
+        kind, source, target = dataclasses.fields(Relation)
+        assert kind.default is dataclasses.MISSING
+        assert source.default is None and target.default is None
+        assert not dataclasses.is_dataclass(Sentence)
+
+    def test_asdict_and_node_count_of_a_nested_sentence(self):
+        y = make_categorical("Y", "P")
+        assert dataclasses.asdict(y) == {
+            "left": {"quantifier": EXISTS, "matrix": {"predicate": "P"}},
+            "right": {"quantifier": EXISTS, "matrix": {"body": {"predicate": "P"}}},
+        }
+
+        def nodes(node) -> int:
+            return 1 + sum(
+                nodes(child)
+                for child in (getattr(node, f.name) for f in dataclasses.fields(node))
+                if dataclasses.is_dataclass(child)
+            )
+
+        assert nodes(y) == 6
+        assert dataclasses.replace(y, right=Q) == And(y.left, Q)

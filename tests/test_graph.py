@@ -149,6 +149,12 @@ class TestToDot:
             "}",
         ]
 
+    def test_label_ending_in_a_backslash_is_refused(self):
+        # the label a\ would be written "a\", whose closing quote DOT reads as escaped
+        g = build_graph(parse_corpus("a\\: A[P]\nc: O[P]"))
+        with pytest.raises(ValueError, match="ends in a backslash"):
+            to_dot(g)
+
 
 class TestStructured:
     def test_graph_document_schema(self):
