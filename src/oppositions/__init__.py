@@ -61,12 +61,10 @@ _EXPORTS = {
     "SegmentAssignment": "segment",
     "ShapeError": "segment",
     "clause_matches": "segment",
-    "contrary_triple": "segment",
     "decode_graph": "segment",
     "extend_hexagon": "segment",
     "infer_role": "segment",
     "make_square_assignment": "segment",
-    "subcontrary_triple": "segment",
     "synthesize": "segment",
     "verify_against": "segment",
 }

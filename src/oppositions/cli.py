@@ -3,8 +3,10 @@
 Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
 ``synthesize`` every encoding of a corpus within a magnitude bound.
-This module parses arguments, maps errors to exit codes and prints;
-``segment`` decides a corpus's shape, its roles and the default clauses.
+This module parses arguments and prints; ``segment`` decides a corpus's
+shape, its roles and the default clauses.  The library and the input
+readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
+its exit code.
 
 Each subcommand imports only the modules it runs: ``encode`` and
 ``synthesize`` import ``segment``, and ``json`` loads only for structured
@@ -15,9 +17,10 @@ Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
 result); 2 parse or input error, an ``encode`` number line wider than
 ``graph.MAX_SEGMENT_COLUMNS``, a ``graph --format dot`` label ending in
 a backslash, or more synthesis results than ``segment.MAX_SOLUTIONS``;
-3 vocabulary mismatch; 4 a corpus or roles of a shape the command or
-its clauses cannot take; 5 verification mismatch; 70 (EX_SOFTWARE) a
-bug escaped every other handler; 141 (128 + SIGPIPE) stdout closed
+3 vocabulary mismatch (``VocabularyMismatchError``); 4 a corpus or roles
+of a shape the command or its clauses cannot take (``segment.ShapeError``);
+5 verification mismatch; 70 (EX_SOFTWARE) an exception other than
+``ValueError`` escaped, which is a bug; 141 (128 + SIGPIPE) stdout closed
 before the payload was written, as under ``| head -1``, with nothing on
 stderr.  Stdout carries only payload; diagnostics go to stderr, as does
 a ``note:`` on an inexact ``--bound``.
@@ -51,12 +54,6 @@ EXIT_SHAPE = 4
 EXIT_MISMATCH = 5
 EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 def _positive_int(text: str) -> int:
@@ -145,31 +142,18 @@ def _read_corpus(path: str) -> Corpus:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise _CliError(f"cannot read corpus: {err}", EXIT_PARSE) from None
+        raise ValueError(f"cannot read corpus: {err}") from None
     try:
         return parse_corpus(text)
     except ParseError as err:
-        raise _CliError(f"corpus {path}: {err}", EXIT_PARSE) from None
+        raise ValueError(f"corpus {path}: {err}") from None
 
 
 def _parse_sentence_arg(text: str, position: str) -> Sentence:
     try:
         return parse_sentence(text)
     except ParseError as err:
-        raise _CliError(f"sentence {position}: {err}", EXIT_PARSE) from None
-
-
-def _segment_call(call, *args):
-    """``call(*args)`` from ``segment``: ShapeError exits 4, and any other
-    ValueError, such as bad magnitudes or the synthesis cap, exits 2."""
-    from . import segment
-
-    try:
-        return call(*args)
-    except segment.ShapeError as err:
-        raise _CliError(str(err), EXIT_SHAPE) from None
-    except ValueError as err:
-        raise _CliError(str(err), EXIT_PARSE) from None
+        raise ValueError(f"sentence {position}: {err}") from None
 
 
 def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
@@ -178,34 +162,18 @@ def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
 
 
 def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
-    try:
-        graph = build_graph(corpus, bound)
-    except ValueError as err:
-        raise _CliError(str(err), EXIT_PARSE) from None
+    graph = build_graph(corpus, bound)
     _note_if_cut_short(bound, [s for _, s in corpus.entries])
     return graph
-
-
-def _relation_line(a: str, b: str, relation) -> str:
-    return f"{a} {b} {relation.text()}"
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     a = _parse_sentence_arg(args.a, "a")
     b = _parse_sentence_arg(args.b, "b")
-    try:
-        relation = classify(a, b, args.bound)
-    except VocabularyMismatchError as err:
-        raise _CliError(str(err), EXIT_VOCAB) from None
-    except ValueError as err:
-        raise _CliError(str(err), EXIT_PARSE) from None
+    relation = classify(a, b, args.bound)
     _note_if_cut_short(args.bound, [a, b])
     print(relation.text())
     return EXIT_OK
-
-
-def _graph_text(graph: OppositionGraph) -> str:
-    return "\n".join(_relation_line(a, b, rel) for a, b, rel in graph.pairs())
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
@@ -213,13 +181,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     if args.format == "structured":
         print(to_structured(graph))
     elif args.format == "dot":
-        try:  # a label ending in a backslash, refused before anything is printed
-            text = to_dot(graph)
-        except ValueError as err:
-            raise _CliError(str(err), EXIT_PARSE) from None
-        print(text)
+        print(to_dot(graph))  # a label ending in a backslash raises before printing
     else:
-        print(_graph_text(graph))
+        print("\n".join(f"{a} {b} {rel.text()}" for a, b, rel in graph.pairs()))
     return EXIT_OK
 
 
@@ -234,12 +198,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
-    assignment = _segment_call(
-        segment.corpus_assignment, corpus, args.q, args.r, args.universal_map
-    )
+    assignment = segment.corpus_assignment(corpus, args.q, args.r, args.universal_map)
     clauses = segment.clause_system(assignment.roles, args.clauses)
     semantic = _corpus_graph(corpus, args.bound)
-    report = _segment_call(segment.verify_against, assignment, clauses, semantic)
+    report = segment.verify_against(assignment, clauses, semantic)
 
     if args.format == "structured":
         import json
@@ -254,10 +216,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     elif args.format == "dot":
         print(to_dot(segment.decode_graph(assignment, clauses)))
     else:
-        try:  # refused before anything is printed
-            line = render_segment(assignment)
-        except ValueError as err:
-            raise _CliError(str(err), EXIT_PARSE) from None
+        line = render_segment(assignment)  # a refusal comes before anything is printed
         print(_assignment_text(assignment))
         print()
         print(line)
@@ -278,11 +237,11 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
-    roles = _segment_call(segment.corpus_roles, corpus)
+    roles = segment.corpus_roles(corpus)
     target = _corpus_graph(corpus, args.bound)
     clauses = segment.clause_system(roles, args.clauses)
     magnitude = args.magnitude if args.magnitude is not None else len(corpus.labels)
-    results = _segment_call(segment.synthesize, target, clauses, magnitude, roles)
+    results = segment.synthesize(target, clauses, magnitude, roles)
 
     if args.format == "structured":
         import json
@@ -322,9 +281,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except _CliError as err:
+    except ValueError as err:  # a refusal of the input, by the library or a reader
         print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
+        if isinstance(err, VocabularyMismatchError):
+            return EXIT_VOCAB
+        # only encode and synthesize load segment, and only they can raise ShapeError
+        segment = sys.modules.get(f"{__package__}.segment")
+        if segment is not None and isinstance(err, segment.ShapeError):
+            return EXIT_SHAPE
+        return EXIT_PARSE
     except Exception as err:  # the last resort: a bug, never a traceback
         print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -112,12 +112,6 @@ class SegmentAssignment(Record):
         except KeyError:
             raise AssignmentError(f"label {label!r} not assigned") from None
 
-    def role(self, label: str) -> Role:
-        return self.roles[label]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values.values()))
-
     def labels_with_role(self, role: Role) -> tuple[str, ...]:
         return tuple(label for label in self.labels if self.roles[label] is role)
 
@@ -250,17 +244,6 @@ def _triples(e: SegmentAssignment) -> Triples:
         zero_sum = len(triple) == 3 and sum(e.values[label] for label in triple) == 0
         triples.append(triple if zero_sum else frozenset())
     return tuple(triples)
-
-
-def contrary_triple(e: SegmentAssignment) -> frozenset:
-    """Universal labels plus the negative distinct object, when they sum
-    to zero; pairwise contrary by the hexagon clauses."""
-    return _triples(e)[0]
-
-
-def subcontrary_triple(e: SegmentAssignment) -> frozenset:
-    """Existential labels plus the positive distinct object."""
-    return _triples(e)[1]
 
 
 Fired = tuple[Relation, ...]

@@ -22,7 +22,8 @@ from .graph import CONTRADICTORY, CONTRARY, EQUIVALENT, SUBCONTRARY, UNCONNECTED
 from .graph import OppositionGraph, Relation, subaltern
 from .parser import Corpus
 
-# The most vector-cell pairs decided; k <= 4 never reaches it (at most 2^16 patterns).
+# The most vector-cell pairs decided; k <= 4 never reaches it (a vector is fixed by
+# its set of inhabited cells, so 16 cells give at most 2^16 - 1 vectors).
 _LIMIT = 1 << 24
 
 
@@ -140,7 +141,8 @@ class _Vectors:
 
 
 class Evidence(Record):
-    """Truth-combination evidence gathered over all models in the bound."""
+    """A pair's four truth-combination flags, over every leaf vector that a
+    model within the bound realizes."""
 
     __slots__ = ("both_true", "both_false", "first_entails_second", "second_entails_first")
     both_true: bool

@@ -539,8 +539,9 @@ ORACLE_MODULES = {
 NEVER_LOADED = {"dataclasses", "inspect"}
 
 
-def loaded_modules(tmp_path, corpus, argv):
-    """The modules a child imports to run the CLI on argv, past its own start."""
+def loaded_modules(tmp_path, corpus, argv, code=0):
+    """The modules a child imports to run the CLI on argv, past its own start;
+    the child must exit with ``code``."""
     done = subprocess.run(
         [sys.executable, "-c", MODULES_PROBE, *with_corpus(tmp_path, corpus, argv)],
         capture_output=True,
@@ -548,23 +549,50 @@ def loaded_modules(tmp_path, corpus, argv):
         env=child_env(),
         timeout=60,
     )
-    assert done.returncode == 0, done.stderr
-    return set(done.stderr.split())
+    assert done.returncode == code, done.stderr
+    return set(done.stderr.splitlines()[-1].split())  # after any error line
+
+
+TWENTY_FIVE = [f"P{i}(x)" for i in range(25)]
 
 
 class TestImportContract:
+    # the error rows guard main's exit-code table, which looks segment up
+    # without importing it
     @pytest.mark.parametrize(
-        "corpus,argv,json_free",
+        "corpus,argv,code,json_free",
         [
-            (None, ("classify", "A[P]", "O[P]"), True),
-            (SQUARE_CORPUS, ("graph", "--format", "text"), True),
-            (SQUARE_CORPUS, ("graph", "--format", "dot"), True),
-            (SQUARE_CORPUS, ("graph", "--format", "structured"), False),
+            (None, ("classify", "A[P]", "O[P]"), 0, True),
+            (SQUARE_CORPUS, ("graph", "--format", "text"), 0, True),
+            (SQUARE_CORPUS, ("graph", "--format", "dot"), 0, True),
+            (SQUARE_CORPUS, ("graph", "--format", "structured"), 0, False),
+            (None, ("classify", "A[P", "O[P]"), 2, True),
+            (None, ("classify", "A[P]", "O[Q]"), 3, True),
+            (
+                None,
+                (
+                    "classify",
+                    "forall x. " + " & ".join(TWENTY_FIVE),
+                    "exists x. " + " & ".join(TWENTY_FIVE),
+                ),
+                2,
+                True,
+            ),
+            ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2, True),
         ],
-        ids=["classify", "graph-text", "graph-dot", "graph-structured"],
+        ids=[
+            "classify",
+            "graph-text",
+            "graph-dot",
+            "graph-structured",
+            "classify-parse-error",
+            "classify-vocabulary-mismatch",
+            "classify-too-many-cells",
+            "graph-dot-backslash-label",
+        ],
     )
-    def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, json_free):
-        loaded = loaded_modules(tmp_path, corpus, argv)
+    def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, code, json_free):
+        loaded = loaded_modules(tmp_path, corpus, argv, code)
         assert {m for m in loaded if m.startswith("oppositions")} == ORACLE_MODULES
         assert not NEVER_LOADED & loaded
         if json_free:
@@ -572,6 +600,11 @@ class TestImportContract:
 
     def test_encode_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", "structured"))
+        assert "oppositions.segment" in loaded
+        assert not NEVER_LOADED & loaded
+
+    def test_encode_shape_error_loads_segment(self, tmp_path):
+        loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--clauses", "hexagon"), 4)
         assert "oppositions.segment" in loaded
         assert not NEVER_LOADED & loaded
 

@@ -24,7 +24,6 @@ from oppositions import (
     Vocabulary,
     build_graph,
     clause_matches,
-    contrary_triple,
     decode_graph,
     extend_hexagon,
     graph_equal,
@@ -34,7 +33,6 @@ from oppositions import (
     parse_corpus,
     parse_sentence,
     subaltern,
-    subcontrary_triple,
     synthesize,
     verify_against,
 )
@@ -66,8 +64,8 @@ class TestMakeSquareAssignment:
 
     def test_roles(self):
         e = make_square_assignment(1, 2)
-        assert e.role("A") is Role.UNIVERSAL and e.role("E") is Role.UNIVERSAL
-        assert e.role("I") is Role.EXISTENTIAL and e.role("O") is Role.EXISTENTIAL
+        assert e.roles["A"] is Role.UNIVERSAL and e.roles["E"] is Role.UNIVERSAL
+        assert e.roles["I"] is Role.EXISTENTIAL and e.roles["O"] is Role.EXISTENTIAL
 
     @pytest.mark.parametrize("q,r", [(2, 2), (0, 1), (-1, 2), (3, 1)])
     def test_bad_magnitudes(self, q, r):
@@ -93,7 +91,7 @@ class TestMakeSquareAssignment:
         assert {-v for v in values} == set(values)
         for label in e.labels:
             positive = e.values[label] > 0
-            assert positive == (e.role(label) is Role.UNIVERSAL)
+            assert positive == (e.roles[label] is Role.UNIVERSAL)
 
 
 class TestAssignmentValidation:
@@ -165,8 +163,8 @@ class TestExtendHexagon:
     def test_worked_example(self, worked_square):
         h = extend_hexagon(worked_square)
         assert values_of(h) == {"A": 1, "E": 2, "I": -2, "O": -1, "U": 3, "Y": -3}
-        assert h.role("U") is Role.DISJUNCTION
-        assert h.role("Y") is Role.CONJUNCTION
+        assert h.roles["U"] is Role.DISJUNCTION
+        assert h.roles["Y"] is Role.CONJUNCTION
 
     def test_sum_independent_of_universal_map(self):
         h = extend_hexagon(make_square_assignment(1, 2, A_HIGH))
@@ -191,7 +189,7 @@ class TestExtendHexagon:
         h = extend_hexagon(make_square_assignment(q, r))
         assert h.values["U"] == -h.values["Y"]
         assert abs(h.values["U"]) == q + r
-        assert h.support() == (-(q + r), -r, -q, q, r, q + r)
+        assert tuple(sorted(h.values.values())) == (-(q + r), -r, -q, q, r, q + r)
 
 
 class TestHexagonClauses:
@@ -200,8 +198,9 @@ class TestHexagonClauses:
         assert hexagon.relation("U", "Y").kind is RelationKind.CONTRADICTORY
 
     def test_triples(self, worked_hexagon):
-        assert contrary_triple(worked_hexagon) == frozenset({"A", "E", "Y"})
-        assert subcontrary_triple(worked_hexagon) == frozenset({"I", "O", "U"})
+        contrary, subcontrary = segment._triples(worked_hexagon)
+        assert contrary == frozenset({"A", "E", "Y"})
+        assert subcontrary == frozenset({"I", "O", "U"})
 
     def test_contrary_pairs_inside_triple(self, worked_hexagon):
         hexagon = decode_graph(worked_hexagon, HEXAGON)
