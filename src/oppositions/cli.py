@@ -4,19 +4,22 @@ Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
 ``synthesize`` every encoding of a corpus within a magnitude bound.
 This module parses arguments and prints; ``segment`` decides a corpus's
-shape, its roles and the default clauses.  The library and the input
-readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
-its exit code.
+shape, its roles and the default clauses.  One table, ``COMMANDS``, gives
+each command's positionals and flags, and ``parse_args`` and ``-h`` read
+it.  The argument parser, the library and the input readers refuse with
+``ValueError``, and ``main`` alone maps a refusal to its exit code.
 
 Each subcommand imports only the modules it runs: ``encode`` and
 ``synthesize`` import ``segment``, and ``json`` loads only for structured
 output, so ``classify`` and ``graph`` never compile either.  No command
-imports ``dataclasses``: records derive from ``formula.Record``.
+imports ``argparse`` (with ``gettext`` and ``locale``) or ``dataclasses``:
+records derive from ``formula.Record``.
 
-Exit codes: 0 success; 1 synthesis found nothing (a meaningful negative
-result); 2 parse or input error, an ``encode`` number line wider than
-``graph.MAX_SEGMENT_COLUMNS``, a ``graph --format dot`` label ending in
-a backslash, or more synthesis results than ``segment.MAX_SOLUTIONS``;
+Exit codes: 0 success, or ``-h`` anywhere; 1 synthesis found nothing (a
+meaningful negative result); 2 an argument, parse or input error, a
+character stdout's encoding cannot carry, an ``encode`` number line wider
+than ``graph.MAX_SEGMENT_COLUMNS``, a ``graph --format dot`` label ending
+in a backslash, or more synthesis results than ``segment.MAX_SOLUTIONS``;
 3 vocabulary mismatch (``VocabularyMismatchError``); 4 a corpus or roles
 of a shape the command or its clauses cannot take (``segment.ShapeError``);
 5 verification mismatch; 70 (EX_SOFTWARE) an exception other than
@@ -28,9 +31,9 @@ a ``note:`` on an inexact ``--bound``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .formula import Sentence
@@ -57,81 +60,80 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if (value := int(text)) < 1:
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oppositions",
-        description=(
-            "Classify logical oppositions between sentences and work with "
-            "integer line-segment encodings of the square and hexagon of "
-            "oppositions."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    classify_p = sub.add_parser(
-        "classify", help="classify the opposition between two sentences"
-    )
-    classify_p.add_argument("a", help="first sentence, e.g. 'A[P]' or 'forall x. P(x)'")
-    classify_p.add_argument("b", help="second sentence")
-    classify_p.add_argument(
-        "--bound", type=_positive_int, default=None, help="domain-size bound (default: exact)"
-    )
-
-    graph_p = sub.add_parser("graph", help="build the opposition graph of a corpus")
-    _add_corpus_arg(graph_p)
-    graph_p.add_argument("--bound", type=_positive_int, default=None)
-    graph_p.add_argument(
-        "--format", choices=("structured", "dot", "text"), default="text"
-    )
-
-    encode_p = sub.add_parser(
-        "encode", help="encode a categorical square or hexagon corpus on a segment"
-    )
-    _add_corpus_arg(encode_p)
-    encode_p.add_argument("--clauses", choices=("square", "hexagon"), default=None)
-    encode_p.add_argument("--q", type=int, default=1, help="smaller universal magnitude")
-    encode_p.add_argument("--r", type=int, default=2, help="larger universal magnitude")
-    encode_p.add_argument(
-        "--map",
-        dest="universal_map",
-        choices=UNIVERSAL_MAPS,
-        default=A_LOW,
-        help="whether label A takes the smaller or larger magnitude",
-    )
-    encode_p.add_argument("--bound", type=_positive_int, default=None)
-    encode_p.add_argument(
-        "--format", choices=("structured", "dot", "text"), default="text"
-    )
-
-    synth_p = sub.add_parser(
-        "synthesize", help="search for segment encodings of a corpus graph"
-    )
-    _add_corpus_arg(synth_p)
-    synth_p.add_argument("--clauses", choices=("square", "hexagon"), default=None)
-    synth_p.add_argument(
-        "--magnitude", type=_positive_int, default=None, help="search bound on |value|"
-    )
-    synth_p.add_argument("--bound", type=_positive_int, default=None)
-    synth_p.add_argument("--format", choices=("structured", "text"), default="text")
-
-    return parser
+# command -> (help, positionals, flags); a flag is (name, destination,
+# converter or tuple of choices, default), and is required if its default is _REQUIRED
+_REQUIRED = object()
+_BOUND = ("--bound", "bound", _positive_int, None)
+_CORPUS = ("--corpus", "corpus", str, _REQUIRED)
+_CLAUSES = ("--clauses", "clauses", ("square", "hexagon"), None)
+_FORMAT = ("--format", "format", ("structured", "dot", "text"), "text")
+COMMANDS = {
+    "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,)),
+    "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT)),
+    "encode": ("encode a categorical square or hexagon corpus on a segment", (), (
+        _CORPUS, _CLAUSES, ("--q", "q", int, 1), ("--r", "r", int, 2),
+        ("--map", "universal_map", UNIVERSAL_MAPS, A_LOW), _BOUND, _FORMAT,
+    )),
+    "synthesize": ("search for segment encodings of a corpus graph", (), (
+        _CORPUS, _CLAUSES, ("--magnitude", "magnitude", _positive_int, None), _BOUND,
+        ("--format", "format", ("structured", "text"), "text"),
+    )),
+}
+_METAVARS = {str: "PATH|-", int: "INT", _positive_int: "N"}
 
 
-def _add_corpus_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--corpus",
-        required=True,
-        help="corpus file of 'label: sentence' lines, or '-' for stdin",
-    )
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command and each destination of ``argv``; raises ValueError on
+    any refusal.  A flag's value may follow it or an ``=``, and may begin
+    with one ``-``; the last of a repeated flag wins."""
+    if not argv or argv[0] not in COMMANDS:
+        found = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ValueError(f"{found}; choose from {', '.join(COMMANDS)}")
+    command, rest = argv[0], iter(argv[1:])
+    _, names, rows = COMMANDS[command]
+    flags = {row[0]: row for row in rows}
+    values = {dest: default for _, dest, _, default in rows}
+    positionals = []
+    for arg in rest:
+        if not arg.startswith("--"):
+            positionals.append(arg)
+            continue
+        flag, equals, text = arg.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{command} has no flag {flag}")
+        if not equals and ((text := next(rest, None)) is None or text.startswith("--")):
+            raise ValueError(f"argument {flag}: expected a value")
+        _, dest, kind, _ = flags[flag]
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"argument {flag}: invalid choice {text!r}, not {'|'.join(kind)}")
+        try:
+            values[dest] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError as err:
+            raise ValueError(f"argument {flag}: {err}") from None
+    if len(positionals) != len(names):
+        raise ValueError(f"{command} takes {len(names)} positionals, got {len(positionals)}")
+    for flag, dest, _, _ in rows:
+        if values[dest] is _REQUIRED:
+            raise ValueError(f"argument {flag} is required")
+    return SimpleNamespace(command=command, **dict(zip(names, positionals)), **values)
+
+
+def usage(command: str) -> str:
+    """The ``-h`` text: a command's synopsis and help, or every command's."""
+    lines = ["usage:"]
+    for name in [command] if command in COMMANDS else COMMANDS:
+        summary, names, rows = COMMANDS[name]
+        words = ["oppositions", name, *(n.upper() for n in names)]
+        for flag, _, kind, default in rows:
+            metavar = "|".join(kind) if isinstance(kind, tuple) else _METAVARS[kind]
+            words.append(f"{flag} {metavar}" if default is _REQUIRED else f"[{flag} {metavar}]")
+        lines += ["  " + " ".join(words), f"      {summary}"]
+    return "\n".join(lines)
 
 
 def _read_corpus(path: str) -> Corpus:
@@ -167,7 +169,7 @@ def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
     return graph
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> int:
     a = _parse_sentence_arg(args.a, "a")
     b = _parse_sentence_arg(args.b, "b")
     relation = classify(a, b, args.bound)
@@ -176,7 +178,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: SimpleNamespace) -> int:
     graph = _corpus_graph(_read_corpus(args.corpus), args.bound)
     if args.format == "structured":
         print(to_structured(graph))
@@ -187,14 +189,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _assignment_text(e) -> str:
-    lines = ["assignment:"]
-    for label in e.labels:
-        lines.append(f"  {label} = {e.values[label]} ({e.roles[label].value})")
-    return "\n".join(lines)
-
-
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: SimpleNamespace) -> int:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
@@ -217,23 +212,20 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         print(to_dot(segment.decode_graph(assignment, clauses)))
     else:
         line = render_segment(assignment)  # a refusal comes before anything is printed
-        print(_assignment_text(assignment))
-        print()
-        print(line)
-        print()
+        print("assignment:")
+        for label in assignment.labels:
+            print(f"  {label} = {assignment.values[label]} ({assignment.roles[label].value})")
+        print(f"\n{line}\n")
         if report.matches:
             print("verification: matches")
         else:
             print(f"verification: {len(report.mismatches)} mismatches")
             for m in report.mismatches:
-                print(
-                    f"  {m.a} {m.b} decoded {m.decoded.text()}, "
-                    f"semantic {m.semantic.text()}"
-                )
+                print(f"  {m.a} {m.b} decoded {m.decoded.text()}, semantic {m.semantic.text()}")
     return EXIT_OK if report.matches else EXIT_MISMATCH
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
+def _cmd_synthesize(args: SimpleNamespace) -> int:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
@@ -262,8 +254,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     handlers = {
         "classify": _cmd_classify,
         "graph": _cmd_graph,
@@ -271,7 +262,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "synthesize": _cmd_synthesize,
     }
     try:
-        code = handlers[args.command](args)
+        if "-h" in argv or "--help" in argv:
+            print(usage(argv[0]))
+            code = EXIT_OK
+        else:
+            args = parse_args(argv)
+            code = handlers[args.command](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -281,6 +277,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except UnicodeEncodeError as err:  # a ValueError that the output, not the input, raised
+        text = err.object[err.start : err.end]
+        print(f"error: stdout's encoding {err.encoding} cannot write {text!r}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as err:  # a refusal of the input, by the library or a reader
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, VocabularyMismatchError):

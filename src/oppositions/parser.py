@@ -86,14 +86,8 @@ class Corpus(Record):
 _TOKEN_RE = re.compile(r"->|[()\[\].~&|]|[A-Za-z_][A-Za-z0-9_]*")
 
 
-class _Token(Record):
-    __slots__ = ("text", "line", "col")
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
+def _tokenize(text: str, line: int, col_offset: int) -> list[tuple[str, int, int]]:
+    """Tokens as ``(text, line, col)``, with a 1-based line and column."""
     tokens = []
     for lineno, raw in enumerate(text.split("\n"), start=line):
         offset = col_offset if lineno == line else 0
@@ -105,7 +99,7 @@ def _tokenize(text: str, line: int, col_offset: int) -> list[_Token]:
             m = _TOKEN_RE.match(raw, pos)
             if m is None:
                 raise ParseError(f"unexpected character {raw[pos]!r}", lineno, offset + pos + 1)
-            tokens.append(_Token(m.group(), lineno, offset + pos + 1))
+            tokens.append((m.group(), lineno, offset + pos + 1))
             pos = m.end()
     return tokens
 
@@ -119,22 +113,22 @@ class _Parser:
         self.end_line = line + len(lines) - 1
         self.end_col = (col_offset if len(lines) == 1 else 0) + len(lines[-1]) + 1
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple[str, int, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, int, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.end_line, self.end_col)
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple[str, int, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError(f"expected {text!r}", self.end_line, self.end_col)
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok[0] != text:
+            raise ParseError(f"expected {text!r}, found {tok[0]!r}", *tok[1:])
         self.pos += 1
         return tok
 
@@ -142,7 +136,7 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             return ParseError(message, self.end_line, self.end_col)
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message, *tok[1:])
 
     # One grammar serves both levels: ``var`` is the bound variable inside a
     # quantifier body, or None outside one.  ``parens`` counts the open
@@ -153,16 +147,16 @@ class _Parser:
     def sentence(self) -> Sentence:
         return self._binary(1, None)
 
-    def _deeper(self, level: int, tok: _Token) -> int:
+    def _deeper(self, level: int, tok: tuple[str, int, int]) -> int:
         if level > MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", *tok[1:])
         return level
 
     def _binary(self, floor: int, var: str | None) -> Sentence:
         """Connectives of precedence ``floor`` and above, left-associative."""
         result = self._unary(var)
-        while (tok := self.peek()) is not None and _BINARY.get(tok.text, (0,))[0] >= floor:
-            level, node = _BINARY[tok.text]
+        while (tok := self.peek()) is not None and _BINARY.get(tok[0], (0,))[0] >= floor:
+            level, node = _BINARY[tok[0]]
             self.advance()
             # the operator puts everything parsed so far one level deeper
             reach = self._deeper(self.reach + 1, tok)
@@ -174,7 +168,7 @@ class _Parser:
 
     def _unary(self, var: str | None) -> Sentence:
         tok = self.peek()
-        if tok is not None and tok.text == "~":
+        if tok is not None and tok[0] == "~":
             self.advance()
             self.depth = self._deeper(self.depth + 1, tok)
             body = self._unary(var)
@@ -187,7 +181,8 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise self.fail(f"expected {expected}")
-        if tok.text == "(":
+        text = tok[0]
+        if text == "(":
             self.advance()
             self.parens = self._deeper(self.parens + 1, tok)
             inner = self._binary(1, var)
@@ -196,53 +191,51 @@ class _Parser:
             return inner
         self.reach = self.depth
         if var is not None:
-            if tok.text[0].isupper():
+            if text[0].isupper():
                 self.advance()
                 self.expect("(")
-                arg = self.advance()
-                if not arg.text[0].isalpha():
-                    raise ParseError(f"expected a variable, found {arg.text!r}", arg.line, arg.col)
-                if arg.text != var:
-                    raise ParseError(f"free variable {arg.text!r}", arg.line, arg.col)
+                name, line, col = self.advance()
+                if not name[0].isalpha():
+                    raise ParseError(f"expected a variable, found {name!r}", line, col)
+                if name != var:
+                    raise ParseError(f"free variable {name!r}", line, col)
                 self.expect(")")
-                return Atom(tok.text)
-        elif tok.text in (FORALL, EXISTS):
+                return Atom(text)
+        elif text in (FORALL, EXISTS):
             self.advance()
             bound = self._variable()
             self.expect(".")
-            return Quantified(tok.text, self._binary(1, bound))
-        elif tok.text[0].isalpha():
+            return Quantified(text, self._binary(1, bound))
+        elif text[0].isalpha():
             after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if after is not None and after.text == "[":
-                if tok.text not in FORMS:
-                    raise ParseError(f"unknown sugar tag {tok.text!r}", tok.line, tok.col)
+            if after is not None and after[0] == "[":
+                if text not in FORMS:
+                    raise ParseError(f"unknown sugar tag {text!r}", *tok[1:])
                 self.advance()
                 self.advance()
                 pred = self._predicate_name()
                 self.expect("]")
-                sugar = make_categorical(tok.text, pred)
+                sugar = make_categorical(text, pred)
                 # the expansion's own connectives sit above its leaves too
                 self.reach = self._deeper(self.depth + _connectives(sugar), tok)
                 return sugar
-            if after is not None and after.text == "(":
+            if after is not None and after[0] == "(":
                 raise ParseError(
-                    f"atom {tok.text!r} outside a quantifier leaves its variable free",
-                    tok.line,
-                    tok.col,
+                    f"atom {text!r} outside a quantifier leaves its variable free", *tok[1:]
                 )
-        raise self.fail(f"expected {expected}, found {tok.text!r}")
+        raise self.fail(f"expected {expected}, found {text!r}")
 
     def _variable(self) -> str:
-        tok = self.advance()
-        if not tok.text[0].isalpha() or not tok.text[0].islower() or tok.text in (FORALL, EXISTS):
-            raise ParseError(f"expected a variable, found {tok.text!r}", tok.line, tok.col)
-        return tok.text
+        text, line, col = self.advance()
+        if not text[0].isalpha() or not text[0].islower() or text in (FORALL, EXISTS):
+            raise ParseError(f"expected a variable, found {text!r}", line, col)
+        return text
 
     def _predicate_name(self) -> str:
-        tok = self.advance()
-        if not tok.text[0].isalpha() or not tok.text[0].isupper():
-            raise ParseError(f"expected a predicate name, found {tok.text!r}", tok.line, tok.col)
-        return tok.text
+        text, line, col = self.advance()
+        if not text[0].isalpha() or not text[0].isupper():
+            raise ParseError(f"expected a predicate name, found {text!r}", line, col)
+        return text
 
 
 def _connectives(s: Sentence) -> int:
@@ -263,7 +256,7 @@ def parse_sentence(text: str, *, line: int = 1, col_offset: int = 0) -> Sentence
     result = parser.sentence()
     tok = parser.peek()
     if tok is not None:
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        raise ParseError(f"unexpected trailing input {tok[0]!r}", *tok[1:])
     return result
 
 

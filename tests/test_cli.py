@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import oppositions
 from oppositions import cli, print_sentence
 from oppositions.cli import main
+from oppositions.graph import A_LOW, UNIVERSAL_MAPS
 from conftest import HEXAGON_CORPUS, SQUARE_CORPUS, sentence_strategy
 
 
@@ -535,8 +537,9 @@ ORACLE_MODULES = {
 
 
 # Records are __slots__ classes, so only field introspection imports
-# dataclasses, which pulls in inspect, ast and dis.
-NEVER_LOADED = {"dataclasses", "inspect"}
+# dataclasses, which pulls in inspect, ast and dis; and the command table
+# replaced argparse, which pulls in gettext and locale.
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def loaded_modules(tmp_path, corpus, argv, code=0):
@@ -579,6 +582,8 @@ class TestImportContract:
                 True,
             ),
             ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2, True),
+            (None, ("classify", "-h"), 0, True),
+            (SQUARE_CORPUS, ("graph", "--format", "svg"), 2, True),
         ],
         ids=[
             "classify",
@@ -589,6 +594,8 @@ class TestImportContract:
             "classify-vocabulary-mismatch",
             "classify-too-many-cells",
             "graph-dot-backslash-label",
+            "classify-help",
+            "graph-argument-refused",
         ],
     )
     def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, code, json_free):
@@ -691,20 +698,136 @@ FLAGS = {
 }
 
 
+# another command's flags take the same values on every command
+ANY_FLAG = {flag: values for flags in FLAGS.values() for flag, values in flags.items()}
+# neither is a flag of any command, nor abbreviates one
+UNKNOWN_FLAGS = ("--verbose", "--corpus-file")
+
+
 @st.composite
 def invocations(draw):
-    """argv without the corpus path, and the corpus bytes for commands that read one."""
+    """argv without the corpus path, and the corpus bytes for commands that
+    read one (None leaves --corpus out).  Besides well-formed flags, argv may
+    hold an unknown flag, another command's flag, a ``--flag=value``, an
+    extra positional, and a flag missing its value at its end."""
     command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
     argv = [command]
     if command == "classify":
         argv += [draw(sentence_text), draw(sentence_text)]
-    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[command])), unique=True)):
-        argv += [flag, draw(FLAGS[command][flag])]
-    return argv, None if command == "classify" else draw(corpus_bytes)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        argv += [flag, draw(flags[flag])]
+    others = sorted(set(ANY_FLAG) - set(flags))
+    odd = st.one_of(
+        st.tuples(st.sampled_from(UNKNOWN_FLAGS), number(0, 3)),
+        st.sampled_from(others).flatmap(lambda f: st.tuples(st.just(f), ANY_FLAG[f])),
+        st.sampled_from(sorted(flags)).flatmap(
+            lambda f: st.tuples(flags[f].map(lambda value: f"{f}={value}"))
+        ),
+        st.tuples(sentence_text),
+    )
+    if draw(st.integers(0, 3)) == 0:  # rare enough that most argv reach the command
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = draw(odd)
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(sorted(flags))))
+    if command == "classify" or draw(st.integers(0, 9)) == 0:
+        return argv, None
+    return argv, draw(corpus_bytes)
+
+
+# --- the argparse parser that cli.COMMANDS replaced, frozen as the reference ---
+
+def _positive_int_reference(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="oppositions",
+        description=(
+            "Classify logical oppositions between sentences and work with "
+            "integer line-segment encodings of the square and hexagon of "
+            "oppositions."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    classify_p = sub.add_parser(
+        "classify", help="classify the opposition between two sentences"
+    )
+    classify_p.add_argument("a", help="first sentence, e.g. 'A[P]' or 'forall x. P(x)'")
+    classify_p.add_argument("b", help="second sentence")
+    classify_p.add_argument(
+        "--bound", type=_positive_int_reference, default=None, help="domain-size bound (default: exact)"
+    )
+
+    graph_p = sub.add_parser("graph", help="build the opposition graph of a corpus")
+    _add_corpus_arg(graph_p)
+    graph_p.add_argument("--bound", type=_positive_int_reference, default=None)
+    graph_p.add_argument(
+        "--format", choices=("structured", "dot", "text"), default="text"
+    )
+
+    encode_p = sub.add_parser(
+        "encode", help="encode a categorical square or hexagon corpus on a segment"
+    )
+    _add_corpus_arg(encode_p)
+    encode_p.add_argument("--clauses", choices=("square", "hexagon"), default=None)
+    encode_p.add_argument("--q", type=int, default=1, help="smaller universal magnitude")
+    encode_p.add_argument("--r", type=int, default=2, help="larger universal magnitude")
+    encode_p.add_argument(
+        "--map",
+        dest="universal_map",
+        choices=UNIVERSAL_MAPS,
+        default=A_LOW,
+        help="whether label A takes the smaller or larger magnitude",
+    )
+    encode_p.add_argument("--bound", type=_positive_int_reference, default=None)
+    encode_p.add_argument(
+        "--format", choices=("structured", "dot", "text"), default="text"
+    )
+
+    synth_p = sub.add_parser(
+        "synthesize", help="search for segment encodings of a corpus graph"
+    )
+    _add_corpus_arg(synth_p)
+    synth_p.add_argument("--clauses", choices=("square", "hexagon"), default=None)
+    synth_p.add_argument(
+        "--magnitude", type=_positive_int_reference, default=None, help="search bound on |value|"
+    )
+    synth_p.add_argument("--bound", type=_positive_int_reference, default=None)
+    synth_p.add_argument("--format", choices=("structured", "text"), default="text")
+
+    return parser
+
+
+def _add_corpus_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--corpus",
+        required=True,
+        help="corpus file of 'label: sentence' lines, or '-' for stdin",
+    )
+
+
+def reference_args(argv):
+    """argparse's destinations for argv, or None where it refuses argv."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_arg_parser().parse_args(argv))
+    except SystemExit as done:
+        assert done.code == 2
+        return None
 
 
 class TestFuzz:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(invocations())
     def test_exit_code_is_documented(self, invocation):
         argv, corpus = invocation
@@ -714,14 +837,108 @@ class TestFuzz:
                 path = Path(tmp) / "input.corpus"
                 path.write_bytes(corpus)
                 argv = [*argv, "--corpus", str(path)]
+            expected = reference_args(argv)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as done:  # argparse rejects the argv
-                    code = done.code
+                code = main(argv)
         assert code in range(6)
         assert "Traceback" not in err.getvalue()
         assert "internal error" not in err.getvalue()
+        if expected is None:
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert vars(cli.parse_args(argv)) == expected
+
+
+class TestArgumentTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("encode", "--q", "-2", "--corpus", "-"),
+            ("classify", "--bound=3", "A[P]", "O[P]"),
+            ("classify", "A[P]", "--bound", "3", "O[P]"),
+            ("classify", "A[P]", "O[P]", "--bound", "1", "--bound", "2"),
+            ("graph", "--format=dot", "--corpus=-", "--format", "text"),
+            ("synthesize", "--corpus", "h.corpus", "--magnitude", "6", "--clauses=hexagon"),
+            ("encode", "--corpus", "s.corpus", "--map", "a-high", "--r=-3"),
+        ],
+        ids=[
+            "negative-value", "equals", "positional-after-flag", "last-wins", "mixed",
+            "synthesize", "encode",
+        ],
+    )
+    def test_accepts_as_argparse_did(self, argv):
+        expected = reference_args(argv)
+        assert expected is not None
+        assert vars(cli.parse_args(argv)) == expected
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (("classify", "A[P]", "O[P]", "--bound", "0"), "argument --bound: must be at least 1, got 0"),
+            (
+                ("encode", "--corpus", "-", "--q", "x"),
+                "argument --q: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ("synthesize", "--corpus", "-", "--format", "dot"),
+                "argument --format: invalid choice 'dot', not structured|text",
+            ),
+            (
+                ("graph", "--corpus", "-", "--format=svg"),
+                "argument --format: invalid choice 'svg', not structured|dot|text",
+            ),
+            (("graph", "--format", "dot"), "argument --corpus is required"),
+            (("encode", "--corpus", "-", "--q"), "argument --q: expected a value"),
+            (("encode", "--q", "--corpus", "-"), "argument --q: expected a value"),
+            (("classify", "A[P]"), "classify takes 2 positionals, got 1"),
+            (("graph", "--corpus", "-", "A[P]"), "graph takes 0 positionals, got 1"),
+            (("classify", "A[P]", "O[P]", "--corpus", "-"), "classify has no flag --corpus"),
+            (("graph", "--corpus", "-", "--verbose", "1"), "graph has no flag --verbose"),
+            (
+                ("prove", "A[P]"),
+                "unknown command 'prove'; choose from classify, graph, encode, synthesize",
+            ),
+            ((), "no command; choose from classify, graph, encode, synthesize"),
+        ],
+        ids=[
+            "bound-zero", "not-an-int", "choice-of-another-command", "choice-after-equals",
+            "corpus-missing", "value-missing", "value-is-a-flag", "too-few-positionals",
+            "extra-positional", "another-commands-flag", "unknown-flag", "unknown-command",
+            "no-command",
+        ],
+    )
+    def test_refusal_is_one_error_line_and_exit_2(self, capsys, argv, line):
+        assert reference_args(argv) is None
+        assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    def test_abbreviated_flags_are_refused(self, capsys):
+        argv = ("synthesize", "--corpus", "-", "--mag", "6")
+        assert reference_args(argv)["magnitude"] == 6
+        assert run(capsys, *argv) == (2, "", "error: synthesize has no flag --mag\n")
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv",
+        [("-h",), ("--help",), *((name, "-h") for name in cli.COMMANDS), ("graph", "--corpus", "-h")],
+    )
+    def test_help_exits_zero_and_names_every_flag(self, tmp_path, argv):
+        done = run_child(tmp_path, None, argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage:\n")
+        for name in [argv[0]] if argv[0] in cli.COMMANDS else cli.COMMANDS:
+            assert f"oppositions {name} " in done.stdout
+            for flag, *_ in cli.COMMANDS[name][2]:
+                assert f"{flag} " in done.stdout
+
+
+class TestOutputEncoding:
+    def test_a_label_stdout_cannot_carry_is_named_on_one_line(self, tmp_path):
+        env = child_env(PYTHONIOENCODING="ascii")
+        done = run_child(tmp_path, "\u00c4: A[P]\nb: O[P]", ("graph",), env=env)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: stdout's encoding ascii cannot write '\\xc4'\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

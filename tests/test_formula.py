@@ -21,7 +21,7 @@ from oppositions import (
 )
 from oppositions.formula import EXISTENTIAL_ONLY, MIXED, UNIVERSAL_ONLY, Sentence
 from oppositions.graph import Relation, RelationKind, subaltern
-from oppositions.parser import _Token, parse_corpus
+from oppositions.parser import parse_corpus
 from oppositions.segment import Mismatch, Role, SegmentAssignment, VerificationReport
 from oppositions.segment import make_square_assignment
 from oppositions.semantics import Evidence
@@ -146,7 +146,6 @@ RECORDS = {
         "('O', Quantified(quantifier='exists', matrix=Not(body=Atom(predicate='P'))))), "
         "vocabulary=Vocabulary(predicates=('P',)))",
     ),
-    "_Token": (lambda: _Token("A", 1, 3), "_Token(text='A', line=1, col=3)"),
     "Relation": (
         lambda: Relation(RelationKind.CONTRARY),
         "Relation(kind=<RelationKind.CONTRARY: 'contrary'>, source=None, target=None)",
