@@ -5,9 +5,10 @@ Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``synthesize`` every encoding of a corpus within a magnitude bound.
 This module parses arguments and prints; ``segment`` decides a corpus's
 shape, its roles and the default clauses.  One table, ``COMMANDS``, gives
-each command's positionals and flags, and ``parse_args`` and ``-h`` read
-it.  The argument parser, the library and the input readers refuse with
-``ValueError``, and ``main`` alone maps a refusal to its exit code.
+each command's positionals, flags and handler, and ``parse_args``, ``-h``
+and ``main`` read it.  The argument parser, the library and the input
+readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
+its exit code.
 
 Each subcommand imports only the modules it runs: ``encode`` and
 ``synthesize`` import ``segment``, and ``json`` loads only for structured
@@ -57,83 +58,6 @@ EXIT_SHAPE = 4
 EXIT_MISMATCH = 5
 EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
-
-
-def _positive_int(text: str) -> int:
-    if (value := int(text)) < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
-
-
-# command -> (help, positionals, flags); a flag is (name, destination,
-# converter or tuple of choices, default), and is required if its default is _REQUIRED
-_REQUIRED = object()
-_BOUND = ("--bound", "bound", _positive_int, None)
-_CORPUS = ("--corpus", "corpus", str, _REQUIRED)
-_CLAUSES = ("--clauses", "clauses", ("square", "hexagon"), None)
-_FORMAT = ("--format", "format", ("structured", "dot", "text"), "text")
-COMMANDS = {
-    "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,)),
-    "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT)),
-    "encode": ("encode a categorical square or hexagon corpus on a segment", (), (
-        _CORPUS, _CLAUSES, ("--q", "q", int, 1), ("--r", "r", int, 2),
-        ("--map", "universal_map", UNIVERSAL_MAPS, A_LOW), _BOUND, _FORMAT,
-    )),
-    "synthesize": ("search for segment encodings of a corpus graph", (), (
-        _CORPUS, _CLAUSES, ("--magnitude", "magnitude", _positive_int, None), _BOUND,
-        ("--format", "format", ("structured", "text"), "text"),
-    )),
-}
-_METAVARS = {str: "PATH|-", int: "INT", _positive_int: "N"}
-
-
-def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """The command and each destination of ``argv``; raises ValueError on
-    any refusal.  A flag's value may follow it or an ``=``, and may begin
-    with one ``-``; the last of a repeated flag wins."""
-    if not argv or argv[0] not in COMMANDS:
-        found = f"unknown command {argv[0]!r}" if argv else "no command"
-        raise ValueError(f"{found}; choose from {', '.join(COMMANDS)}")
-    command, rest = argv[0], iter(argv[1:])
-    _, names, rows = COMMANDS[command]
-    flags = {row[0]: row for row in rows}
-    values = {dest: default for _, dest, _, default in rows}
-    positionals = []
-    for arg in rest:
-        if not arg.startswith("--"):
-            positionals.append(arg)
-            continue
-        flag, equals, text = arg.partition("=")
-        if flag not in flags:
-            raise ValueError(f"{command} has no flag {flag}")
-        if not equals and ((text := next(rest, None)) is None or text.startswith("--")):
-            raise ValueError(f"argument {flag}: expected a value")
-        _, dest, kind, _ = flags[flag]
-        if isinstance(kind, tuple) and text not in kind:
-            raise ValueError(f"argument {flag}: invalid choice {text!r}, not {'|'.join(kind)}")
-        try:
-            values[dest] = text if isinstance(kind, tuple) else kind(text)
-        except ValueError as err:
-            raise ValueError(f"argument {flag}: {err}") from None
-    if len(positionals) != len(names):
-        raise ValueError(f"{command} takes {len(names)} positionals, got {len(positionals)}")
-    for flag, dest, _, _ in rows:
-        if values[dest] is _REQUIRED:
-            raise ValueError(f"argument {flag} is required")
-    return SimpleNamespace(command=command, **dict(zip(names, positionals)), **values)
-
-
-def usage(command: str) -> str:
-    """The ``-h`` text: a command's synopsis and help, or every command's."""
-    lines = ["usage:"]
-    for name in [command] if command in COMMANDS else COMMANDS:
-        summary, names, rows = COMMANDS[name]
-        words = ["oppositions", name, *(n.upper() for n in names)]
-        for flag, _, kind, default in rows:
-            metavar = "|".join(kind) if isinstance(kind, tuple) else _METAVARS[kind]
-            words.append(f"{flag} {metavar}" if default is _REQUIRED else f"[{flag} {metavar}]")
-        lines += ["  " + " ".join(words), f"      {summary}"]
-    return "\n".join(lines)
 
 
 def _read_corpus(path: str) -> Corpus:
@@ -253,21 +177,94 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
     return EXIT_OK if results else EXIT_NO_RESULTS
 
 
+def _positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
+# command -> (help, positionals, flags, handler); a flag is (name, destination,
+# converter or tuple of choices, default), and is required if its default is _REQUIRED
+_REQUIRED = object()
+_BOUND = ("--bound", "bound", _positive_int, None)
+_CORPUS = ("--corpus", "corpus", str, _REQUIRED)
+_CLAUSES = ("--clauses", "clauses", ("square", "hexagon"), None)
+_FORMAT = ("--format", "format", ("structured", "dot", "text"), "text")
+COMMANDS = {
+    "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,),
+                 _cmd_classify),
+    "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT),
+              _cmd_graph),
+    "encode": ("encode a categorical square or hexagon corpus on a segment", (), (
+        _CORPUS, _CLAUSES, ("--q", "q", int, 1), ("--r", "r", int, 2),
+        ("--map", "universal_map", UNIVERSAL_MAPS, A_LOW), _BOUND, _FORMAT,
+    ), _cmd_encode),
+    "synthesize": ("search for segment encodings of a corpus graph", (), (
+        _CORPUS, _CLAUSES, ("--magnitude", "magnitude", _positive_int, None), _BOUND,
+        ("--format", "format", ("structured", "text"), "text"),
+    ), _cmd_synthesize),
+}
+_METAVARS = {str: "PATH|-", int: "INT", _positive_int: "N"}
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command and each destination of ``argv``; raises ValueError on
+    any refusal.  A flag's value may follow it or an ``=``, and may begin
+    with one ``-``; the last of a repeated flag wins."""
+    if not argv or argv[0] not in COMMANDS:
+        found = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ValueError(f"{found}; choose from {', '.join(COMMANDS)}")
+    command, rest = argv[0], iter(argv[1:])
+    _, names, rows, _ = COMMANDS[command]
+    flags = {row[0]: row for row in rows}
+    values = {dest: default for _, dest, _, default in rows}
+    positionals = []
+    for arg in rest:
+        if not arg.startswith("--"):
+            positionals.append(arg)
+            continue
+        flag, equals, text = arg.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{command} has no flag {flag}")
+        if not equals and ((text := next(rest, None)) is None or text.startswith("--")):
+            raise ValueError(f"argument {flag}: expected a value")
+        _, dest, kind, _ = flags[flag]
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"argument {flag}: invalid choice {text!r}, not {'|'.join(kind)}")
+        try:
+            values[dest] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError as err:
+            raise ValueError(f"argument {flag}: {err}") from None
+    if len(positionals) != len(names):
+        raise ValueError(f"{command} takes {len(names)} positionals, got {len(positionals)}")
+    for flag, dest, _, _ in rows:
+        if values[dest] is _REQUIRED:
+            raise ValueError(f"argument {flag} is required")
+    return SimpleNamespace(command=command, **dict(zip(names, positionals)), **values)
+
+
+def usage(command: str) -> str:
+    """The ``-h`` text: a command's synopsis and help, or every command's."""
+    lines = ["usage:"]
+    for name in [command] if command in COMMANDS else COMMANDS:
+        summary, names, rows, _ = COMMANDS[name]
+        words = ["oppositions", name, *(n.upper() for n in names)]
+        for flag, _, kind, default in rows:
+            metavar = "|".join(kind) if isinstance(kind, tuple) else _METAVARS[kind]
+            words.append(f"{flag} {metavar}" if default is _REQUIRED else f"[{flag} {metavar}]")
+        lines += ["  " + " ".join(words), f"      {summary}"]
+    return "\n".join(lines)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    handlers = {
-        "classify": _cmd_classify,
-        "graph": _cmd_graph,
-        "encode": _cmd_encode,
-        "synthesize": _cmd_synthesize,
-    }
     try:
         if "-h" in argv or "--help" in argv:
             print(usage(argv[0]))
             code = EXIT_OK
         else:
             args = parse_args(argv)
-            code = handlers[args.command](args)
+            code = COMMANDS[args.command][3](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

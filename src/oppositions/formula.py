@@ -48,13 +48,12 @@ class Record:
     """Base of the package's immutable value classes, in place of frozen
     dataclasses, whose generated code costs every command its start-up.
 
-    A subclass names its fields in ``__slots__`` (a ``"__dict__"`` entry
-    there makes room for ``cached_property`` and is not a field) and the
-    defaults of trailing ones in ``_defaults``.  Records are built from
-    positional or keyword fields, then ``__post_init__`` checks them; they
-    compare equal when of the same class with equal fields, hash by their
-    fields, print as ``Name(field=value, ...)``, refuse assignment and
-    deletion, and pickle and copy through ``__reduce__``.
+    A subclass names its fields in ``__slots__`` and the defaults of
+    trailing ones in ``_defaults``.  Records are built from positional or
+    keyword fields, then ``__post_init__`` checks them; they compare equal
+    when of the same class with equal fields, hash by their fields, print
+    as ``Name(field=value, ...)``, refuse assignment and deletion, and
+    pickle and copy through ``__reduce__``.
     """
 
     __slots__ = ()
@@ -62,7 +61,7 @@ class Record:
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n != "__dict__")
+        cls._fields = tuple(cls.__dict__.get("__slots__", ()))
         # each slot's own setter, which the refusing __setattr__ cannot reach
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
         if cls._fields:
@@ -205,9 +204,10 @@ def make_categorical(form: str, predicate: str, representation: str = MIXED) -> 
 
     A and E are the universal affirmative/negative, I and O the
     existential affirmative/negative.  U is the disjunction of A and E,
-    Y the conjunction of I and O.  The representation picks between the
-    mixed-quantifier wording and the single-quantifier wordings obtained
-    through negation.
+    Y the conjunction of I and O.  The mixed representation words each
+    form with its own quantifier; a single-quantifier representation
+    rewrites the other quantifier by the duality ∃M = ¬∀¬M (universal-only)
+    or ∀M = ¬∃¬M (existential-only), and writes ¬¬M as M.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form tag: {form!r}")
@@ -226,29 +226,16 @@ def make_categorical(form: str, predicate: str, representation: str = MIXED) -> 
         )
 
     phi = Atom(predicate)
-    not_phi = Not(phi)
-    if representation == MIXED:
-        table = {
-            "A": Quantified(FORALL, phi),
-            "E": Quantified(FORALL, not_phi),
-            "I": Quantified(EXISTS, phi),
-            "O": Quantified(EXISTS, not_phi),
-        }
-    elif representation == UNIVERSAL_ONLY:
-        table = {
-            "A": Quantified(FORALL, phi),
-            "E": Quantified(FORALL, not_phi),
-            "I": Not(Quantified(FORALL, not_phi)),
-            "O": Not(Quantified(FORALL, phi)),
-        }
-    else:
-        table = {
-            "A": Not(Quantified(EXISTS, not_phi)),
-            "E": Not(Quantified(EXISTS, phi)),
-            "I": Quantified(EXISTS, phi),
-            "O": Quantified(EXISTS, not_phi),
-        }
-    return table[form]
+    quantifier, matrix = {
+        "A": (FORALL, phi),
+        "E": (FORALL, Not(phi)),
+        "I": (EXISTS, phi),
+        "O": (EXISTS, Not(phi)),
+    }[form]
+    kept = {UNIVERSAL_ONLY: FORALL, EXISTENTIAL_ONLY: EXISTS}.get(representation, quantifier)
+    if quantifier == kept:
+        return Quantified(quantifier, matrix)
+    return Not(Quantified(kept, matrix.body if isinstance(matrix, Not) else Not(matrix)))
 
 
 # --- printing ---

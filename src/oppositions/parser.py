@@ -27,7 +27,6 @@ and has no whitespace.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 
 from .formula import (
     BINARY_CONNECTIVES,
@@ -64,7 +63,7 @@ class ParseError(Exception):
 class Corpus(Record):
     """Ordered labelled sentences over a shared inferred vocabulary."""
 
-    __slots__ = ("entries", "vocabulary", "__dict__")
+    __slots__ = ("entries", "vocabulary")
     entries: tuple[tuple[str, Sentence], ...]
     vocabulary: Vocabulary
 
@@ -72,12 +71,8 @@ class Corpus(Record):
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.entries)
 
-    @cached_property
-    def _by_label(self) -> dict[str, Sentence]:
-        return dict(self.entries)
-
     def sentence(self, label: str) -> Sentence:
-        return self._by_label[label]
+        return dict(self.entries)[label]
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -107,10 +107,10 @@ class TestCutShortNote:
 
 class TestInternalError:
     def test_escaped_exception_exits_70_on_one_line(self, capsys, monkeypatch):
-        def broken(args):
+        def broken(a, b, bound):
             raise KeyError("a bug\nover two lines")
 
-        monkeypatch.setattr(cli, "_cmd_classify", broken)
+        monkeypatch.setattr(cli, "classify", broken)
         code, out, err = run(capsys, "classify", "A[P]", "O[P]")
         assert (code, out) == (70, "")
         assert err.startswith("internal error: KeyError(") and err.count("\n") == 1

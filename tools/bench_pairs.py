@@ -10,13 +10,15 @@ pairs, ``bench/run.py --trace 0`` runs once on each side with the same seed
 for the ``run_seconds`` that ``BENCHMARK.json`` fixes, and the side that
 runs first alternates from pair to pair, so a drift of the machine's speed
 falls on both sides alike.  Seed ``s`` is used for pair
-``s - seed_start``.  After the pairs, one ``--trace 1`` run per side
-records the per-layer metrics, ``cli.import_s`` among them.
+``s - seed_start``.  After the pairs, each seed gets one ``--trace 1``
+run per side, in the same alternating order, and these ten runs per side
+give the per-layer metrics, ``cli.import_s`` among them.
 
 The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, and the number of pairs the change won (strictly
 better than the parent in the same pair), next to the bound from
-``BENCHMARK.json``; the seconds behind ``verdict_p50_x`` the same way; the
+``BENCHMARK.json``; the seconds behind ``verdict_p50_x`` and each side's
+per-layer metrics the same way, as median, quartiles and runs; the
 seeds, each side's ``src/`` line count and the machine facts
 ``bench/run.py`` reports.  Children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so every CLI call compiles what it imports.
@@ -58,6 +60,12 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def order(i: int) -> tuple[str, ...]:
+    """The sides of pair ``i`` in the order they run: the parent first in
+    even pairs, the change first in odd ones."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """One ``bench/run.py`` run in ``tree``: its result line and its context."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -74,6 +82,14 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> t
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def traced_summary(results: list[dict]) -> dict:
+    """Each metric of one side's traced runs, as ``summary`` gives it."""
+    return {
+        name: summary([r["metrics"][name]["value"] for r in results])
+        for name in results[0]["metrics"]
+    }
 
 
 def compare(spec: dict, runs: dict[str, list[dict]]) -> dict:
@@ -120,19 +136,19 @@ def main(argv=None) -> int:
             bases = {side: {key: [] for key in BASES} for side in SIDES}
             first = []
             for i, seed in enumerate(seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                first.append(order[0])
-                for side in order:
+                first.append(order(i)[0])
+                for side in order(i):
                     result, context = bench(trees[side], workload, seed, seconds, 0)
                     runs[side].append(result)
                     for key in BASES:
                         bases[side][key].append(context[key])
                     facts[side] = context
                 print(f"{workload} seed {seed} done", file=sys.stderr)
-            traced = {
-                side: bench(trees[side], workload, seeds[0], TRACE_SECONDS, 1)[0]
-                for side in SIDES
-            }
+            traced = {side: [] for side in SIDES}
+            for i, seed in enumerate(seeds):
+                for side in order(i):
+                    traced[side].append(bench(trees[side], workload, seed, TRACE_SECONDS, 1)[0])
+            print(f"{workload} traced runs done", file=sys.stderr)
             report["workloads"][workload] = {
                 "first": first,
                 "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
@@ -141,11 +157,7 @@ def main(argv=None) -> int:
                     side: {key: summary(values) for key, values in bases[side].items()}
                     for side in SIDES
                 },
-                "traced_seed": seeds[0],
-                "traced": {
-                    side: {k: m["value"] for k, m in traced[side]["metrics"].items()}
-                    for side in SIDES
-                },
+                "traced": {side: traced_summary(traced[side]) for side in SIDES},
             }
     report["src_lines"] = {side: facts[side]["src_lines"] for side in SIDES}
     report["machine"] = {k: facts["change"][k] for k in ("nproc", "cpus_usable", "python")}
