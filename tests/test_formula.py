@@ -19,7 +19,7 @@ from oppositions import (
     print_sentence,
     sentence_predicates,
 )
-from oppositions.formula import EXISTENTIAL_ONLY, MIXED, UNIVERSAL_ONLY, Sentence
+from oppositions.formula import EXISTENTIAL_ONLY, FORMS, MIXED, UNIVERSAL_ONLY, Sentence
 from oppositions.graph import Relation, RelationKind, subaltern
 from oppositions.parser import parse_corpus
 from oppositions.segment import Mismatch, Role, SegmentAssignment, VerificationReport
@@ -78,6 +78,50 @@ class TestMakeCategorical:
     def test_unknown_representation_tag(self):
         with pytest.raises(ValueError, match="representation"):
             make_categorical("A", "P", "dual")
+
+
+# --- the three wordings as make_categorical once spelled them out, frozen ---
+
+
+def frozen_categorical(form, predicate, representation):
+    if form == "U":
+        return Or(*(frozen_categorical(f, predicate, representation) for f in "AE"))
+    if form == "Y":
+        return And(*(frozen_categorical(f, predicate, representation) for f in "IO"))
+    phi = Atom(predicate)
+    not_phi = Not(phi)
+    return {
+        MIXED: {
+            "A": Quantified(FORALL, phi),
+            "E": Quantified(FORALL, not_phi),
+            "I": Quantified(EXISTS, phi),
+            "O": Quantified(EXISTS, not_phi),
+        },
+        UNIVERSAL_ONLY: {
+            "A": Quantified(FORALL, phi),
+            "E": Quantified(FORALL, not_phi),
+            "I": Not(Quantified(FORALL, not_phi)),
+            "O": Not(Quantified(FORALL, phi)),
+        },
+        EXISTENTIAL_ONLY: {
+            "A": Not(Quantified(EXISTS, not_phi)),
+            "E": Not(Quantified(EXISTS, phi)),
+            "I": Quantified(EXISTS, phi),
+            "O": Quantified(EXISTS, not_phi),
+        },
+    }[representation][form]
+
+
+class TestAgainstFrozenTables:
+    """The single-quantifier wordings derived by duality are, node for
+    node, the trees the three spelled-out tables gave."""
+
+    @pytest.mark.parametrize("predicate", ["P", "Q"])
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_same_tree(self, form, representation, predicate):
+        expected = frozen_categorical(form, predicate, representation)
+        assert make_categorical(form, predicate, representation) == expected
 
 
 class TestPrinting:

@@ -106,6 +106,20 @@ class TestSentenceErrors:
         with pytest.raises(ParseError):
             parse_sentence("(A[P] & E[P]")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("forall", "1:7: unexpected end of input"),
+            ("forall X. P(x)", "1:8: expected a variable, found 'X'"),
+            ("forall x. P(.)", "1:13: expected a variable, found '.'"),
+            ("A[p]", "1:3: expected a predicate name, found 'p'"),
+        ],
+    )
+    def test_refusal_message_and_position(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_sentence(text)
+        assert str(err.value) == message
+
 
 def nested(shape, depth, leaf):
     """``leaf`` under ``depth`` levels of one shape; the crossing token's symbol."""

@@ -326,6 +326,10 @@ class TestSynthesize:
             {"A": 2, "E": 1, "I": -1, "O": -2},
         ]
 
+    def test_magnitude_below_one_refused(self, oracle_square):
+        with pytest.raises(ValueError, match="^magnitude bound must be at least 1$"):
+            synthesize(oracle_square, SQUARE, 0, SQUARE_ROLES)
+
     def test_hexagon_under_square_clauses_is_empty(self, oracle_hexagon):
         assert synthesize(oracle_hexagon, SQUARE, 6, HEXAGON_ROLES) == []
 

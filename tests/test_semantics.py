@@ -287,6 +287,10 @@ class TestClassify:
         assert classify(sent("I[P]"), sent("O[P]"), 2).kind is RelationKind.SUBCONTRARY
         assert classify(sent("A[P]"), sent("I[P]"), 2) == subaltern("a", "b")
 
+    def test_bound_below_one_refused(self):
+        with pytest.raises(ValueError, match="^max_size must be at least 1$"):
+            classification_evidence(sent("A[P]"), sent("O[P]"), max_size=0)
+
     def test_identity_is_equivalent(self):
         for form in FORMS:
             s = make_categorical(form, "P")
