@@ -28,14 +28,22 @@ of a shape the command or its clauses cannot take (``segment.ShapeError``);
 before the payload was written, as under ``| head -1``, with nothing on
 stderr.  Stdout carries only payload; diagnostics go to stderr, as does
 a ``note:`` on an inexact ``--bound``.
+
+``main`` returns its exit code and never ends the process, so tests and
+benchmarks call it in-process.  ``run`` is the one way in for
+``python -m oppositions``, ``python -m oppositions.cli`` and the
+``oppositions`` script: it calls ``main``, flushes stdout and stderr, and
+ends the process with ``os._exit``, skipping interpreter teardown.  So
+``atexit`` handlers, such as those a ``sitecustomize`` registers, do not
+run in a CLI process.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Sequence
 
 from .formula import Sentence
 from .graph import (
@@ -292,5 +300,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Run ``main`` on ``sys.argv`` and end the process with its code once
+    stdout and stderr are flushed, without interpreter teardown; never
+    returns.  A flush that finds the reader gone exits 141 quietly, as
+    ``main`` does."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,9 +8,9 @@ ASCII rendering of integer segment assignments.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from enum import Enum
 from itertools import combinations
-from typing import Any, Iterator, Mapping
 
 from .formula import Record
 
@@ -132,7 +132,7 @@ class OppositionGraph:
             counts[relation.kind] += 1
         return counts
 
-    def to_document(self) -> dict[str, Any]:
+    def to_document(self) -> dict[str, object]:
         pairs = [{"a": a, "b": b, **relation.entry()} for a, b, relation in self.pairs()]
         return {
             "schema_version": SCHEMA_VERSION,
@@ -178,7 +178,7 @@ def to_dot(g: OppositionGraph) -> str:
     return "\n".join(lines)
 
 
-def to_structured(obj: Any) -> str:
+def to_structured(obj: object) -> str:
     """Canonical JSON for graphs, segment assignments, and verification reports.
 
     Byte-stable: identical inputs always serialize to identical text.

@@ -24,10 +24,10 @@ or hexagon corpus, its sentences' roles, and the clauses roles default to.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Mapping
 from enum import Enum
 from itertools import combinations, permutations
 from math import comb
-from typing import Callable, Mapping
 
 from .formula import FORALL, REPRESENTATIONS, Sentence, And, Not, Or, Quantified
 from .formula import Record, make_categorical

@@ -13,8 +13,8 @@ by bitwise algebra on two masks.  Domains are nonempty throughout.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from itertools import combinations
-from typing import Callable, Iterable
 
 from .formula import FORALL, Atom, Sentence, And, Implies, Not, Or, Quantified, Record
 from .formula import Vocabulary, sentence_predicates

@@ -514,8 +514,9 @@ class TestBoundErrors:
         assert done.stderr.startswith("error: ") and "invalid label" in done.stderr
 
 
-# The child snapshots its modules after start-up, so a module that site
-# loads (json may be one) does not count as loaded by the command.
+# The child runs under -S, so no module that site or a .pth file preloads
+# (typing, re and enum may be) can hide a load; it snapshots its modules
+# after start-up, so what the interpreter itself loads does not count.
 MODULES_PROBE = """\
 import sys
 bare = set(sys.modules)
@@ -537,16 +538,17 @@ ORACLE_MODULES = {
 
 
 # Records are __slots__ classes, so only field introspection imports
-# dataclasses, which pulls in inspect, ast and dis; and the command table
-# replaced argparse, which pulls in gettext and locale.
-NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+# dataclasses, which pulls in inspect, ast and dis; the command table
+# replaced argparse, which pulls in gettext and locale; and annotations
+# name collections.abc, not typing, which costs more than a bare start.
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
 
 
 def loaded_modules(tmp_path, corpus, argv, code=0):
     """The modules a child imports to run the CLI on argv, past its own start;
     the child must exit with ``code``."""
     done = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, *with_corpus(tmp_path, corpus, argv)],
+        [sys.executable, "-S", "-c", MODULES_PROBE, *with_corpus(tmp_path, corpus, argv)],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -999,3 +1001,118 @@ class TestDeterminism:
     def test_stderr_carries_no_payload_on_success(self, capsys, hexagon_file):
         _, _, err = run(capsys, "encode", "--corpus", hexagon_file)
         assert err == ""
+
+
+# Each row runs in a child through ``python -m oppositions``, that is through
+# cli.run, and in-process through cli.main: the exit code and both streams
+# must agree.  The rows past the golden ones are exits 2-5 and -h.
+ENTRY_COMMANDS = GOLDEN_COMMANDS | {
+    "classify-parse-error": (None, ("classify", "A[P", "O[P]"), 2),
+    "classify-vocabulary-mismatch": (None, ("classify", "A[P]", "O[Q]"), 3),
+    "encode-shape-error": (SQUARE_CORPUS, ("encode", "--clauses", "hexagon"), 4),
+    "encode-mismatch": (HEXAGON_CORPUS, ("encode", "--clauses", "square"), 5),
+    "help": (None, ("graph", "-h"), 0),
+}
+
+# Runs a module as ``python -m`` does, after registering an exit handler that
+# writes to stderr, so the handler's line shows whether teardown ran.
+TEARDOWN_PROBE = """\
+import atexit, os, runpy, sys
+atexit.register(os.write, 2, b"teardown\\n")
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+# Closes the read end of stdout before the child starts, so any write the
+# child makes to stdout fails with EPIPE.
+GONE_READER = """\
+import sys
+from oppositions import cli
+
+def main():
+    print("payload")  # buffered, as stdout is a pipe
+    print("error: refused", file=sys.stderr)
+    return 2
+
+cli.main = main
+cli.run()
+"""
+
+
+def buffered_env(**extra):
+    """child_env with stdout block-buffered, as it is by default, so that
+    bytes wait in it for run's flush even where PYTHONUNBUFFERED is set."""
+    return child_env(PYTHONUNBUFFERED="", **extra)
+
+
+class TestEntryFunction:
+    """``python -m oppositions``, ``python -m oppositions.cli`` and the
+    ``oppositions`` script end through cli.run with os._exit, after flushing."""
+
+    @pytest.mark.parametrize("name", list(ENTRY_COMMANDS))
+    def test_child_matches_in_process_main(self, capsys, tmp_path, name):
+        corpus, argv, exit_code = ENTRY_COMMANDS[name]
+        argv = with_corpus(tmp_path, corpus, argv)
+        child = subprocess.run(
+            [*CHILD, *argv], capture_output=True, env=buffered_env(PYTHONIOENCODING="utf-8"),
+            timeout=60,
+        )
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, out.encode("utf-8"), err.encode("utf-8")
+        )
+        if 2 <= code <= 4:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+        if code == 1:
+            assert out == "found 0\n"
+
+    def test_a_payload_larger_than_the_buffers_reaches_a_file_whole(self, capsys, tmp_path):
+        corpus = "\n".join(f"L{i}: A[P]" for i in range(80))
+        argv = with_corpus(tmp_path, corpus, ("graph", "--format", "structured"))
+        target = tmp_path / "graph.json"
+        with open(target, "wb") as handle:
+            child = subprocess.run([*CHILD, *argv], stdout=handle, env=buffered_env(), timeout=60)
+        _, out, _ = run(capsys, *argv)
+        assert child.returncode == 0
+        assert len(out) > 2**16  # above a pipe buffer and io.DEFAULT_BUFFER_SIZE
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("module", ["oppositions", "oppositions.cli"])
+    def test_each_module_way_in_skips_teardown(self, module):
+        done = subprocess.run(
+            [sys.executable, "-c", TEARDOWN_PROBE, module, "classify", "A[P]", "O[P]"],
+            capture_output=True, text=True, env=buffered_env(), timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "contradictory\n", "")
+
+    def test_main_returns_and_leaves_teardown_to_the_caller(self):
+        probe = TEARDOWN_PROBE.replace(
+            "runpy.run_module(sys.argv.pop(1), run_name=\"__main__\", alter_sys=True)",
+            "from oppositions.cli import main\nprint(main(sys.argv[1:]))",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "classify", "A[P]", "O[Q]"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "3\n")
+        assert done.stderr.splitlines()[-1] == "teardown"
+
+    def test_the_script_target_is_run(self):
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+        target = scripts.splitlines()[0]
+        assert target == 'oppositions = "oppositions.cli:run"'
+
+    def test_a_final_flush_to_a_gone_reader_exits_141_quietly(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", GONE_READER], stdout=write, stderr=subprocess.PIPE,
+                env=buffered_env(), timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"error: refused\n")
