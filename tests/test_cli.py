@@ -1014,16 +1014,15 @@ ENTRY_COMMANDS = GOLDEN_COMMANDS | {
     "help": (None, ("graph", "-h"), 0),
 }
 
-# Runs a module as ``python -m`` does, after registering an exit handler that
-# writes to stderr, so the handler's line shows whether teardown ran.
-TEARDOWN_PROBE = """\
+# Registers an exit handler that writes to stderr, so the handler's line
+# shows whether teardown ran after the rest of the probe.
+AT_EXIT = """\
 import atexit, os, runpy, sys
 atexit.register(os.write, 2, b"teardown\\n")
-runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
 """
 
-# Closes the read end of stdout before the child starts, so any write the
-# child makes to stdout fails with EPIPE.
+# A main that leaves bytes in stdout and refuses; the test closes the read
+# end of stdout's pipe before the child starts, so run's flush hits EPIPE.
 GONE_READER = """\
 import sys
 from oppositions import cli
@@ -1081,17 +1080,15 @@ class TestEntryFunction:
 
     @pytest.mark.parametrize("module", ["oppositions", "oppositions.cli"])
     def test_each_module_way_in_skips_teardown(self, module):
+        probe = AT_EXIT + 'runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)'
         done = subprocess.run(
-            [sys.executable, "-c", TEARDOWN_PROBE, module, "classify", "A[P]", "O[P]"],
+            [sys.executable, "-c", probe, module, "classify", "A[P]", "O[P]"],
             capture_output=True, text=True, env=buffered_env(), timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "contradictory\n", "")
 
     def test_main_returns_and_leaves_teardown_to_the_caller(self):
-        probe = TEARDOWN_PROBE.replace(
-            "runpy.run_module(sys.argv.pop(1), run_name=\"__main__\", alter_sys=True)",
-            "from oppositions.cli import main\nprint(main(sys.argv[1:]))",
-        )
+        probe = AT_EXIT + "from oppositions.cli import main\nprint(main(sys.argv[1:]))"
         done = subprocess.run(
             [sys.executable, "-c", probe, "classify", "A[P]", "O[Q]"],
             capture_output=True, text=True, env=child_env(), timeout=60,
