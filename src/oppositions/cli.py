@@ -24,18 +24,22 @@ in a backslash, or more synthesis results than ``segment.MAX_SOLUTIONS``;
 3 vocabulary mismatch (``VocabularyMismatchError``); 4 a corpus or roles
 of a shape the command or its clauses cannot take (``segment.ShapeError``);
 5 verification mismatch; 70 (EX_SOFTWARE) an exception other than
-``ValueError`` escaped, which is a bug; 141 (128 + SIGPIPE) stdout closed
-before the payload was written, as under ``| head -1``, with nothing on
-stderr.  Stdout carries only payload; diagnostics go to stderr, as does
-a ``note:`` on an inexact ``--bound``.
+``ValueError`` escaped, which is a bug; 74 (EX_IOERR) stdout failed, say
+on a full device, with one ``error:`` line; 141 (128 + SIGPIPE) stdout
+closed before the payload was written, as under ``| head -1``, with
+nothing on stderr.  Handlers only compute their code and payload, and
+``main`` writes the payload once, so stdout carries a payload only after
+the command has succeeded (exits 0, 1 and 5).  Diagnostics go to stderr,
+as does a ``note:`` on an inexact ``--bound``; one that cannot be written
+is dropped, and the exit code stays the same.
 
 ``main`` returns its exit code and never ends the process, so tests and
 benchmarks call it in-process.  ``run`` is the one way in for
 ``python -m oppositions``, ``python -m oppositions.cli`` and the
-``oppositions`` script: it calls ``main``, flushes stdout and stderr, and
-ends the process with ``os._exit``, skipping interpreter teardown.  So
-``atexit`` handlers, such as those a ``sitecustomize`` registers, do not
-run in a CLI process.
+``oppositions`` script: it calls ``main``, flushes stdout, and ends the
+process with ``os._exit``, skipping interpreter teardown.  So ``atexit``
+handlers, such as those a ``sitecustomize`` registers, do not run in a
+CLI process.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ EXIT_VOCAB = 3
 EXIT_SHAPE = 4
 EXIT_MISMATCH = 5
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74
 EXIT_BROKEN_PIPE = 141
 
 
@@ -90,9 +95,18 @@ def _parse_sentence_arg(text: str, position: str) -> Sentence:
         raise ValueError(f"sentence {position}: {err}") from None
 
 
+def _say(line: str, code: int) -> int:
+    """Write one line to stderr, or drop it if stderr fails; return the code."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:  # a full device, or a pipe whose reader has gone
+        pass
+    return code
+
+
 def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
     if bound is not None and bound < (exact := exact_bound(sentences)):
-        print(f"note: --bound {bound} is below {exact}, the least exact bound", file=sys.stderr)
+        _say(f"note: --bound {bound} is below {exact}, the least exact bound", EXIT_OK)
 
 
 def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
@@ -101,27 +115,24 @@ def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
     return graph
 
 
-def _cmd_classify(args: SimpleNamespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> tuple[int, str]:
     a = _parse_sentence_arg(args.a, "a")
     b = _parse_sentence_arg(args.b, "b")
     relation = classify(a, b, args.bound)
     _note_if_cut_short(args.bound, [a, b])
-    print(relation.text())
-    return EXIT_OK
+    return EXIT_OK, relation.text()
 
 
-def _cmd_graph(args: SimpleNamespace) -> int:
+def _cmd_graph(args: SimpleNamespace) -> tuple[int, str]:
     graph = _corpus_graph(_read_corpus(args.corpus), args.bound)
     if args.format == "structured":
-        print(to_structured(graph))
-    elif args.format == "dot":
-        print(to_dot(graph))  # a label ending in a backslash raises before printing
-    else:
-        print("\n".join(f"{a} {b} {rel.text()}" for a, b, rel in graph.pairs()))
-    return EXIT_OK
+        return EXIT_OK, to_structured(graph)
+    if args.format == "dot":
+        return EXIT_OK, to_dot(graph)
+    return EXIT_OK, "\n".join(f"{a} {b} {rel.text()}" for a, b, rel in graph.pairs())
 
 
-def _cmd_encode(args: SimpleNamespace) -> int:
+def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
@@ -129,6 +140,7 @@ def _cmd_encode(args: SimpleNamespace) -> int:
     clauses = segment.clause_system(assignment.roles, args.clauses)
     semantic = _corpus_graph(corpus, args.bound)
     report = segment.verify_against(assignment, clauses, semantic)
+    code = EXIT_OK if report.matches else EXIT_MISMATCH
 
     if args.format == "structured":
         import json
@@ -139,25 +151,21 @@ def _cmd_encode(args: SimpleNamespace) -> int:
             "assignment": assignment.to_document(),
             "verification": report.to_document(),
         }
-        print(json.dumps(document, indent=2))
-    elif args.format == "dot":
-        print(to_dot(segment.decode_graph(assignment, clauses)))
-    else:
-        line = render_segment(assignment)  # a refusal comes before anything is printed
-        print("assignment:")
-        for label in assignment.labels:
-            print(f"  {label} = {assignment.values[label]} ({assignment.roles[label].value})")
-        print(f"\n{line}\n")
-        if report.matches:
-            print("verification: matches")
-        else:
-            print(f"verification: {len(report.mismatches)} mismatches")
-            for m in report.mismatches:
-                print(f"  {m.a} {m.b} decoded {m.decoded.text()}, semantic {m.semantic.text()}")
-    return EXIT_OK if report.matches else EXIT_MISMATCH
+        return code, json.dumps(document, indent=2)
+    if args.format == "dot":
+        return code, to_dot(segment.decode_graph(assignment, clauses))
+    lines = ["assignment:"]
+    for label in assignment.labels:
+        lines.append(f"  {label} = {assignment.values[label]} ({assignment.roles[label].value})")
+    lines += ["", render_segment(assignment), ""]
+    verdict = f"{len(report.mismatches)} mismatches" if report.mismatches else "matches"
+    lines.append(f"verification: {verdict}")
+    lines += [f"  {m.a} {m.b} decoded {m.decoded.text()}, semantic {m.semantic.text()}"
+              for m in report.mismatches]
+    return code, "\n".join(lines)
 
 
-def _cmd_synthesize(args: SimpleNamespace) -> int:
+def _cmd_synthesize(args: SimpleNamespace) -> tuple[int, str]:
     from . import segment
 
     corpus = _read_corpus(args.corpus)
@@ -166,6 +174,7 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
     clauses = segment.clause_system(roles, args.clauses)
     magnitude = args.magnitude if args.magnitude is not None else len(corpus.labels)
     results = segment.synthesize(target, clauses, magnitude, roles)
+    code = EXIT_OK if results else EXIT_NO_RESULTS
 
     if args.format == "structured":
         import json
@@ -177,12 +186,9 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
             "count": len(results),
             "assignments": [e.to_document() for e in results],
         }
-        print(json.dumps(document, indent=2))
-    else:
-        for e in results:
-            print(" ".join(f"{label}={e.values[label]}" for label in e.labels))
-        print(f"found {len(results)}")
-    return EXIT_OK if results else EXIT_NO_RESULTS
+        return code, json.dumps(document, indent=2)
+    lines = [" ".join(f"{label}={e.values[label]}" for label in e.labels) for e in results]
+    return code, "\n".join([*lines, f"found {len(results)}"])
 
 
 def _positive_int(text: str) -> int:
@@ -268,49 +274,45 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if "-h" in argv or "--help" in argv:
-            print(usage(argv[0]))
-            code = EXIT_OK
+            code, payload = EXIT_OK, usage(argv[0])
         else:
             args = parse_args(argv)
-            code = COMMANDS[args.command][3](args)
-        sys.stdout.flush()
+            code, payload = COMMANDS[args.command][3](args)
+    except ValueError as err:  # a refusal of the input, by the library or a reader
+        # only encode and synthesize load segment, and only they can raise ShapeError
+        shape_error = getattr(sys.modules.get(f"{__package__}.segment"), "ShapeError", ())
+        code = EXIT_VOCAB if isinstance(err, VocabularyMismatchError) else EXIT_PARSE
+        return _say(f"error: {err}", EXIT_SHAPE if isinstance(err, shape_error) else code)
+    except Exception as err:  # the last resort: a bug, never a traceback
+        return _say(f"internal error: {err!r}", EXIT_INTERNAL)
+    try:
+        print(payload, flush=True)  # print, whose separate newline write raises on a gone reader
         return code
-    except BrokenPipeError:
-        # The reader is gone.  Point stdout at devnull, so that the flush
-        # at interpreter exit has nowhere left to fail.
+    except UnicodeEncodeError as err:  # a ValueError that the output, not the input, raised
+        text = err.object[err.start : err.end]
+        return _say(f"error: stdout's encoding {err.encoding} cannot write {text!r}", EXIT_PARSE)
+    except OSError as err:
+        # point stdout at devnull, so that no later flush, at exit say, can fail
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
-    except UnicodeEncodeError as err:  # a ValueError that the output, not the input, raised
-        text = err.object[err.start : err.end]
-        print(f"error: stdout's encoding {err.encoding} cannot write {text!r}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as err:  # a refusal of the input, by the library or a reader
-        print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, VocabularyMismatchError):
-            return EXIT_VOCAB
-        # only encode and synthesize load segment, and only they can raise ShapeError
-        segment = sys.modules.get(f"{__package__}.segment")
-        if segment is not None and isinstance(err, segment.ShapeError):
-            return EXIT_SHAPE
-        return EXIT_PARSE
-    except Exception as err:  # the last resort: a bug, never a traceback
-        print(f"internal error: {err!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        if isinstance(err, BrokenPipeError):  # the reader is gone: exit quietly
+            return EXIT_BROKEN_PIPE
+        return _say(f"error: cannot write stdout: {err.strerror}", EXIT_IOERR)
 
 
 def run() -> None:
-    """Run ``main`` on ``sys.argv`` and end the process with its code once
-    stdout and stderr are flushed, without interpreter teardown; never
-    returns.  A flush that finds the reader gone exits 141 quietly, as
-    ``main`` does."""
+    """Run ``main`` on ``sys.argv``, flush stdout and end the process with
+    the code, without interpreter teardown; never returns.  A failed flush
+    exits as in ``main``: 141 quietly on a gone reader, else 74.  Stderr
+    needs no flush: each diagnostic is flushed, or dropped, as written."""
     code = main()
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
     except BrokenPipeError:
         code = EXIT_BROKEN_PIPE
+    except OSError as err:
+        code = _say(f"error: cannot write stdout: {err.strerror}", EXIT_IOERR)
     os._exit(code)
 
 

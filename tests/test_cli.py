@@ -842,7 +842,7 @@ class TestFuzz:
             expected = reference_args(argv)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-        assert code in range(6)
+        assert code in (0, 1, 2, 3, 4, 5, 74)  # 74 is a failed stdout write
         assert "Traceback" not in err.getvalue()
         assert "internal error" not in err.getvalue()
         if expected is None:
@@ -1113,3 +1113,76 @@ class TestEntryFunction:
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (141, b"error: refused\n")
+
+
+# One invocation for each of exits 0-5, and one whose answer carries a note.
+FAILED_WRITE_COMMANDS = {
+    name: ENTRY_COMMANDS[name]
+    for name in (
+        "classify-contradictory", "synthesize-hexagon-square", "classify-parse-error",
+        "classify-vocabulary-mismatch", "encode-shape-error", "encode-mismatch",
+    )
+} | {"classify-note": (None, ("classify", "I[P]", "O[P]", "--bound", "1"), 0)}
+SINKS = [
+    pytest.param(
+        "/dev/full",
+        marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+    ),
+    "gone-reader",
+]
+
+
+def failing_sink(sink):
+    """A descriptor every write to which fails: /dev/full (ENOSPC), or the
+    write end of a pipe whose read end is already closed (EPIPE)."""
+    if sink == "/dev/full":
+        return os.open(sink, os.O_WRONLY)
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def run_into_sink(argv, stream, sink, unbuffered):
+    """Run the CLI in a child with ``stream`` sent to a failing sink and the
+    other stream captured; returns the exit code and the captured bytes."""
+    write = failing_sink(sink)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
+    try:
+        done = subprocess.run(
+            [*CHILD, *argv], env=child_env(PYTHONUNBUFFERED=unbuffered, PYTHONIOENCODING="utf-8"),
+            timeout=60, **streams,
+        )
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr if stream == "stdout" else done.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", SINKS)
+@pytest.mark.parametrize("name", list(FAILED_WRITE_COMMANDS))
+class TestFailedWrites:
+    """A stream that takes no write ends each invocation in a documented
+    code, compared with the same invocation run in-process."""
+
+    def test_stdout(self, capsys, tmp_path, name, sink, unbuffered):
+        corpus, argv, exit_code = FAILED_WRITE_COMMANDS[name]
+        argv = with_corpus(tmp_path, corpus, argv)
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        code_in_sink, stderr = run_into_sink(argv, "stdout", sink, unbuffered)
+        stderr = stderr.decode("utf-8")
+        if not out:  # a refusal writes nothing to stdout, so no write fails
+            assert (code_in_sink, stderr) == (code, err)
+        elif sink == "/dev/full":
+            assert code_in_sink == 74
+            assert stderr.startswith(err + "error: cannot write stdout: ")
+            assert stderr.count("\n") == err.count("\n") + 1
+        else:
+            assert (code_in_sink, stderr) == (141, err)
+
+    def test_stderr_changes_neither_code_nor_stdout(self, capsys, tmp_path, name, sink, unbuffered):
+        corpus, argv, exit_code = FAILED_WRITE_COMMANDS[name]
+        argv = with_corpus(tmp_path, corpus, argv)
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        assert run_into_sink(argv, "stderr", sink, unbuffered) == (code, out.encode("utf-8"))

@@ -448,11 +448,27 @@ class TestAgainstReferenceDecoders:
                 ), (values_of(e), a, b)
 
 
-# The bounded synthesizer as first written: each candidate built as a
-# SegmentAssignment, decoded whole and compared with graph_equal; frozen
-# here as the reference the pair-by-pair search must reproduce.
+# The bounded synthesizer as first written, frozen here as the reference the
+# search by permutation pairs must reproduce: every candidate on every support
+# is checked against the target, and each that matches is built as a
+# SegmentAssignment.  The check decodes pair by pair with the reference
+# decoders above, which the tests above hold equal to decode_graph, and stops
+# at the first pair that differs; contradictory pairs come first, as they turn
+# most candidates away.
 
 POSITIVE_ROLES = (Role.UNIVERSAL, Role.DISJUNCTION)
+
+
+class _Candidate:
+    """Values and roles read as the reference decoders read a
+    SegmentAssignment, without building and validating one."""
+
+    __slots__ = ("labels", "values", "roles")
+    value = SegmentAssignment.value
+    labels_with_role = SegmentAssignment.labels_with_role
+
+    def __init__(self, labels, values, roles):
+        self.labels, self.values, self.roles = labels, values, roles
 
 
 def _reference_synthesize(target, cs, magnitude_bound, roles):
@@ -466,6 +482,10 @@ def _reference_synthesize(target, cs, magnitude_bound, roles):
             (with_role[Role.DISJUNCTION][0], with_role[Role.UNIVERSAL]),
             (with_role[Role.CONJUNCTION][0], with_role[Role.EXISTENTIAL]),
         )
+    relation = _reference_square_relation if cs is SQUARE else _reference_hexagon_relation
+    # a relation's text names its kind and direction, and compares faster than the record
+    pairs = sorted(((a, b, r.text()) for a, b, r in target.pairs()),
+                   key=lambda pair: pair[2] != CONTRADICTORY.text())
     found = []
     for magnitudes in itertools.combinations(range(1, magnitude_bound + 1), len(positive_labels)):
         negatives = sorted(-m for m in magnitudes)
@@ -475,9 +495,9 @@ def _reference_synthesize(target, cs, magnitude_bound, roles):
                 values.update(zip(negative_labels, negative_row))
                 if any(values[d] != sum(values[l] for l in of) for d, of in sums):
                     continue
-                candidate = SegmentAssignment(labels, values, dict(roles))
-                if graph_equal(decode_graph(candidate, cs), target):
-                    found.append(candidate)
+                candidate = _Candidate(labels, values, roles)
+                if all(relation(candidate, a, b).text() == text for a, b, text in pairs):
+                    found.append(SegmentAssignment(labels, values, dict(roles)))
     return found
 
 
