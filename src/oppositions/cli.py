@@ -17,21 +17,24 @@ imports ``argparse`` (with ``gettext`` and ``locale``) or ``dataclasses``:
 records derive from ``formula.Record``.
 
 Exit codes: 0 success, or ``-h`` anywhere; 1 synthesis found nothing (a
-meaningful negative result); 2 an argument, parse or input error, a
-character stdout's encoding cannot carry, an ``encode`` number line wider
-than ``graph.MAX_SEGMENT_COLUMNS``, a ``graph --format dot`` label ending
-in a backslash, or more synthesis results than ``segment.MAX_SOLUTIONS``;
-3 vocabulary mismatch (``VocabularyMismatchError``); 4 a corpus or roles
-of a shape the command or its clauses cannot take (``segment.ShapeError``);
-5 verification mismatch; 70 (EX_SOFTWARE) an exception other than
-``ValueError`` escaped, which is a bug; 74 (EX_IOERR) stdout failed, say
-on a full device, with one ``error:`` line; 141 (128 + SIGPIPE) stdout
-closed before the payload was written, as under ``| head -1``, with
-nothing on stderr.  Handlers only compute their code and payload, and
-``main`` writes the payload once, so stdout carries a payload only after
-the command has succeeded (exits 0, 1 and 5).  Diagnostics go to stderr,
-as does a ``note:`` on an inexact ``--bound``; one that cannot be written
-is dropped, and the exit code stays the same.
+meaningful negative result); 2 an argument, parse or input error (a
+closed stdin too), a character stdout's encoding cannot carry, an
+``encode`` number line wider than ``graph.MAX_SEGMENT_COLUMNS``, a
+``graph --format dot`` label ending in a backslash, or more synthesis
+results than ``segment.MAX_SOLUTIONS``; 3 vocabulary mismatch
+(``VocabularyMismatchError``); 4 a corpus or roles of a shape the command
+or its clauses cannot take (``segment.ShapeError``); 5 verification
+mismatch; 70 (EX_SOFTWARE) an exception other than ``ValueError``
+escaped, which is a bug; 74 (EX_IOERR) stdout failed, say on a full
+device or closed before start (``>&-``), with one ``error:`` line; 141
+(128 + SIGPIPE) stdout closed before the payload was written, as under
+``| head -1``, with nothing on stderr.  Handlers only compute their code
+and payload, and ``main`` writes the payload once, so stdout carries a
+payload only after the command has succeeded (exits 0, 1 and 5);
+``_write_stdout`` alone maps a failed write or flush of stdout.
+Diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``;
+one that cannot be written, on a full device or a closed stderr say, is
+dropped, and the exit code stays the same.
 
 ``main`` returns its exit code and never ends the process, so tests and
 benchmarks call it in-process.  ``run`` is the one way in for
@@ -74,6 +77,8 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _read_corpus(path: str) -> Corpus:
+    if path == "-" and sys.stdin is None:  # fd 0 was closed before start
+        raise ValueError("cannot read corpus: stdin is closed")
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -98,7 +103,8 @@ def _parse_sentence_arg(text: str, position: str) -> Sentence:
 def _say(line: str, code: int) -> int:
     """Write one line to stderr, or drop it if stderr fails; return the code."""
     try:
-        print(line, file=sys.stderr, flush=True)
+        if sys.stderr is not None:  # None when fd 2 was closed before start
+            print(line, file=sys.stderr, flush=True)
     except OSError:  # a full device, or a pipe whose reader has gone
         pass
     return code
@@ -285,8 +291,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _say(f"error: {err}", EXIT_SHAPE if isinstance(err, shape_error) else code)
     except Exception as err:  # the last resort: a bug, never a traceback
         return _say(f"internal error: {err!r}", EXIT_INTERNAL)
+    return _write_stdout(code, payload)
+
+
+def _write_stdout(code: int, payload: str | None = None) -> int:
+    """Print the payload, or with none flush stdout; return ``code``, or
+    that of a failed write: 2 for a character the encoding cannot carry,
+    141 quietly on a gone reader, else 74 with one ``error:`` line."""
+    if sys.stdout is None:  # fd 1 was closed before start
+        return _say("error: cannot write stdout: it is closed", EXIT_IOERR)
     try:
-        print(payload, flush=True)  # print, whose separate newline write raises on a gone reader
+        if payload is None:
+            sys.stdout.flush()
+        else:  # print, whose separate newline write raises on a gone reader
+            print(payload, flush=True)
         return code
     except UnicodeEncodeError as err:  # a ValueError that the output, not the input, raised
         text = err.object[err.start : err.end]
@@ -304,16 +322,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> None:
     """Run ``main`` on ``sys.argv``, flush stdout and end the process with
     the code, without interpreter teardown; never returns.  A failed flush
-    exits as in ``main``: 141 quietly on a gone reader, else 74.  Stderr
+    exits as a failed payload write does in ``main``; a stdout closed
+    before start has nothing to flush, so a refusal keeps its code.  Stderr
     needs no flush: each diagnostic is flushed, or dropped, as written."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        code = EXIT_BROKEN_PIPE
-    except OSError as err:
-        code = _say(f"error: cannot write stdout: {err.strerror}", EXIT_IOERR)
-    os._exit(code)
+    os._exit(code if sys.stdout is None else _write_stdout(code))
 
 
 if __name__ == "__main__":

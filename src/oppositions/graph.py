@@ -35,22 +35,14 @@ class RelationKind(Enum):
     UNCONNECTED = "unconnected"
 
 
-# DOT edge conventions: subalternation is the only arrowed relation.
-_DOT_CODE = {
-    RelationKind.CONTRADICTORY: "d",
-    RelationKind.CONTRARY: "c",
-    RelationKind.SUBCONTRARY: "sc",
-    RelationKind.SUBALTERN: "s",
-    RelationKind.EQUIVALENT: "e",
-    RelationKind.UNCONNECTED: "u",
-}
-_DOT_ATTRS = {
-    RelationKind.CONTRADICTORY: ', style=dashed, dir=none',
-    RelationKind.CONTRARY: ', style=solid, dir=none',
-    RelationKind.SUBCONTRARY: ', style=dotted, dir=none',
-    RelationKind.SUBALTERN: "",
-    RelationKind.EQUIVALENT: ', style=bold, dir=none',
-    RelationKind.UNCONNECTED: ', color=gray, dir=none',
+# DOT edge label and attributes: subalternation is the only arrowed relation.
+_DOT = {
+    RelationKind.CONTRADICTORY: ("d", ", style=dashed, dir=none"),
+    RelationKind.CONTRARY: ("c", ", style=solid, dir=none"),
+    RelationKind.SUBCONTRARY: ("sc", ", style=dotted, dir=none"),
+    RelationKind.SUBALTERN: ("s", ""),
+    RelationKind.EQUIVALENT: ("e", ", style=bold, dir=none"),
+    RelationKind.UNCONNECTED: ("u", ", color=gray, dir=none"),
 }
 
 
@@ -172,8 +164,8 @@ def to_dot(g: OppositionGraph) -> str:
     for a, b, relation in g.pairs():
         if relation.kind is RelationKind.SUBALTERN:
             a, b = relation.source, relation.target
-        label = _DOT_CODE[relation.kind]
-        lines.append(f'  {quoted[a]} -> {quoted[b]} [label="{label}"{_DOT_ATTRS[relation.kind]}];')
+        label, attributes = _DOT[relation.kind]
+        lines.append(f'  {quoted[a]} -> {quoted[b]} [label="{label}"{attributes}];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -112,22 +112,20 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def advance(self) -> tuple[str, int, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_line, self.end_col)
+        if (tok := self.peek()) is None:
+            raise self.fail("unexpected end of input")
         self.pos += 1
         return tok
 
     def expect(self, text: str) -> tuple[str, int, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {text!r}", self.end_line, self.end_col)
-        if tok[0] != text:
-            raise ParseError(f"expected {text!r}, found {tok[0]!r}", *tok[1:])
+        if (tok := self.peek()) is None or tok[0] != text:
+            found = "" if tok is None else f", found {tok[0]!r}"
+            raise self.fail(f"expected {text!r}{found}")
         self.pos += 1
         return tok
 
     def fail(self, message: str) -> ParseError:
+        """The error at the next token, or at the end of the input."""
         tok = self.peek()
         if tok is None:
             return ParseError(message, self.end_line, self.end_col)

@@ -15,7 +15,7 @@ replaces the sign rows for contrariety and subcontrariety with zero-sum
 triples completed by a distinct object, and puts an order row for
 same-signed pairs before the square's subalternation row.  Decoding
 takes the first relation fired, so every pair receives exactly one;
-decoding and synthesis share that one pair scan.
+decoding, clause listing and synthesis share that one row scan.
 
 Only this module knows which labels and forms make a categorical square
 or hexagon corpus, its sentences' roles, and the clauses roles default to.
@@ -24,7 +24,7 @@ or hexagon corpus, its sentences' roles, and the clauses roles default to.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from enum import Enum
 from itertools import combinations, permutations
 from math import comb
@@ -171,8 +171,6 @@ def extend_hexagon(
     existentials = e.labels_with_role(Role.EXISTENTIAL)
     if len(e.labels) != 4 or len(universals) != 2 or len(existentials) != 2:
         raise ShapeError("hexagon extension starts from a square assignment")
-    if label_u in e.labels or label_y in e.labels or label_u == label_y:
-        raise AssignmentError("distinct-object labels collide")
     positive = sum(e.value(label) for label in universals)
     negative = sum(e.value(label) for label in existentials)
     labels = e.labels + (label_u, label_y)
@@ -323,18 +321,15 @@ def clause_matches(e: SegmentAssignment, cs: ClauseSystem, a: str, b: str) -> Fi
     if a == b:
         raise AssignmentError("relations hold between distinct labels")
     _check_shape(e.roles, cs)
-    triples = _triples(e)
-    va, vb = e.value(a), e.value(b)
-    return tuple(relation for row in CLAUSES[cs] for relation in row(a, va, b, vb, triples))
+    return tuple(_fired(CLAUSES[cs], a, e.value(a), b, e.value(b), _triples(e)))
 
 
-def _decode_pair(rows: Rows, a: str, va: int, b: str, vb: int, triples: Triples) -> Relation:
-    """The first relation the rows fire for the pair; the last rows of
-    each table fire for every pair the earlier ones leave over."""
+def _fired(rows: Rows, a: str, va: int, b: str, vb: int, triples: Triples) -> Iterator[Relation]:
+    """Every relation the rows fire for the pair, lazily and in table
+    order; ``clause_matches`` lists them all, and decoding takes the first,
+    which exists as each table's last rows fire on every pair left over."""
     for row in rows:
-        fired = row(a, va, b, vb, triples)
-        if fired:
-            return fired[0]
+        yield from row(a, va, b, vb, triples)
 
 
 def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
@@ -344,7 +339,7 @@ def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
     _check_shape(e.roles, cs)
     rows, triples = CLAUSES[cs], _triples(e)
     edges = {
-        frozenset((a, b)): _decode_pair(rows, a, e.values[a], b, e.values[b], triples)
+        frozenset((a, b)): next(_fired(rows, a, e.values[a], b, e.values[b], triples))
         for a, b in combinations(e.labels, 2)
     }
     return OppositionGraph(e.labels, edges)
@@ -469,7 +464,7 @@ def synthesize(
         for q in orders:
             values = place(least, p, q)
             if all(
-                _decode_pair(rows, a, values[a], b, values[b], triples) == relation
+                next(_fired(rows, a, values[a], b, values[b], triples)) == relation
                 for a, b, relation in pairs
             ):
                 types.append((p, q))

@@ -1186,3 +1186,47 @@ class TestFailedWrites:
         code, out, _ = run(capsys, *argv)
         assert code == exit_code
         assert run_into_sink(argv, "stderr", sink, unbuffered) == (code, out.encode("utf-8"))
+
+
+def run_with_closed(argv, fd):
+    """Run the CLI in a child whose descriptor ``fd`` (0, 1 or 2) is closed
+    before it starts, as by ``<&-``, ``>&-`` or ``2>&-``, so that Python
+    sets that stream to None; the open streams are captured."""
+    return subprocess.run(
+        ["/bin/sh", "-c", f'exec "$@" {fd}>&-', "sh", *CHILD, *argv],
+        capture_output=True, env=child_env(PYTHONIOENCODING="utf-8"), timeout=60,
+    )
+
+
+@pytest.mark.parametrize("name", list(FAILED_WRITE_COMMANDS))
+class TestClosedStreams:
+    """A stream closed before start ends each invocation as a failed write
+    to it would, compared with the same invocation run in-process."""
+
+    def test_stdout(self, capsys, tmp_path, name):
+        corpus, argv, exit_code = FAILED_WRITE_COMMANDS[name]
+        argv = with_corpus(tmp_path, corpus, argv)
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        done = run_with_closed(argv, 1)
+        stderr = done.stderr.decode("utf-8")
+        if not out:  # a refusal writes nothing to stdout, so it keeps its code
+            assert (done.returncode, stderr) == (code, err)
+        else:
+            assert done.returncode == 74
+            assert stderr.startswith(err + "error: cannot write stdout: ")
+            assert stderr.count("\n") == err.count("\n") + 1
+
+    def test_stderr_changes_neither_code_nor_stdout(self, capsys, tmp_path, name):
+        corpus, argv, exit_code = FAILED_WRITE_COMMANDS[name]
+        argv = with_corpus(tmp_path, corpus, argv)
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        done = run_with_closed(argv, 2)
+        assert (done.returncode, done.stdout) == (code, out.encode("utf-8"))
+
+
+def test_a_closed_stdin_is_a_corpus_that_cannot_be_read():
+    done = run_with_closed(("graph", "--corpus", "-"), 0)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode("utf-8") == "error: cannot read corpus: stdin is closed\n"

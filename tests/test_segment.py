@@ -577,17 +577,53 @@ class TestAgainstReferenceSynthesize:
         assert values_of(candidate) in [values_of(e) for e in found]
 
 
+@st.composite
+def square_or_hexagon_assignments(draw):
+    """A square or hexagon assignment, labels in a random order, on a
+    random symmetric support up to 20; half the hexagons place each
+    distinct object at the sum of its components, so the triple rows fire."""
+    roles = draw(st.sampled_from((SQUARE_ROLES, HEXAGON_ROLES)))
+    labels = tuple(draw(st.permutations(sorted(roles))))
+    if len(roles) == 6 and draw(st.booleans()):
+        a, e = draw(st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True))
+        i, o = draw(st.permutations((-a, -e)))
+        values = {"A": a, "E": e, "U": a + e, "I": i, "O": o, "Y": -a - e}
+        return SegmentAssignment(labels, values, roles)
+    positive = [l for l in labels if roles[l] in POSITIVE_ROLES]
+    negative = [l for l in labels if roles[l] in NEGATIVE_ROLES]
+    size = len(positive)
+    magnitudes = draw(st.lists(st.integers(1, 20), min_size=size, max_size=size, unique=True))
+    values = dict(zip(positive, magnitudes))
+    values |= dict(zip(negative, draw(st.permutations([-m for m in magnitudes]))))
+    return SegmentAssignment(labels, values, roles)
+
+
+class TestDecodeIsFirstClauseMatch:
+    """Decoding and clause listing read one row scan: under each clause
+    system an assignment's shape allows, every pair, in either order,
+    decodes to the first relation ``clause_matches`` lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_or_hexagon_assignments())
+    def test_decoded_relation_is_the_first_match(self, e):
+        for cs in (SQUARE, HEXAGON) if len(e.labels) == 6 else (SQUARE,):
+            graph = decode_graph(e, cs)
+            for a, b in itertools.permutations(e.labels, 2):
+                first = clause_matches(e, cs, a, b)[0]
+                assert graph.relation(a, b) == first, (cs, values_of(e), a, b)
+
+
 class TestTypeDecision:
     """Each pair of permutations is decoded once, whatever the magnitude."""
 
     def test_square_refusal_is_flat_in_magnitude(self, monkeypatch, oracle_hexagon):
-        decode_pair, calls = segment._decode_pair, []
+        fired, calls = segment._fired, []
 
         def counted(*args):
             calls.append(args)
-            return decode_pair(*args)
+            return fired(*args)
 
-        monkeypatch.setattr(segment, "_decode_pair", counted)
+        monkeypatch.setattr(segment, "_fired", counted)
         counts = []
         for bound in (8, 40):
             calls.clear()
