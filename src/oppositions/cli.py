@@ -11,10 +11,10 @@ readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
 its exit code.
 
 Each subcommand imports only the modules it runs: ``encode`` and
-``synthesize`` import ``segment``, and ``json`` loads only for structured
-output, so ``classify`` and ``graph`` never compile either.  No command
-imports ``argparse`` (with ``gettext`` and ``locale``) or ``dataclasses``:
-records derive from ``formula.Record``.
+``synthesize`` import ``segment``, and structured output imports
+``document``, so ``classify`` and ``graph`` in text or DOT compile
+neither.  No command imports ``json``, ``argparse`` (with ``gettext`` and
+``locale``) or ``dataclasses``: records derive from ``formula.Record``.
 
 Exit codes: 0 success, or ``-h`` anywhere; 1 synthesis found nothing (a
 meaningful negative result); 2 an argument, parse or input error (a
@@ -149,7 +149,7 @@ def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
     code = EXIT_OK if report.matches else EXIT_MISMATCH
 
     if args.format == "structured":
-        import json
+        from .document import dumps
         document = {
             "schema_version": SCHEMA_VERSION,
             "kind": "encoding_report",
@@ -157,7 +157,7 @@ def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
             "assignment": assignment.to_document(),
             "verification": report.to_document(),
         }
-        return code, json.dumps(document, indent=2)
+        return code, dumps(document)
     if args.format == "dot":
         return code, to_dot(segment.decode_graph(assignment, clauses))
     lines = ["assignment:"]
@@ -183,7 +183,7 @@ def _cmd_synthesize(args: SimpleNamespace) -> tuple[int, str]:
     code = EXIT_OK if results else EXIT_NO_RESULTS
 
     if args.format == "structured":
-        import json
+        from .document import dumps
         document = {
             "schema_version": SCHEMA_VERSION,
             "kind": "synthesis_result",
@@ -192,7 +192,7 @@ def _cmd_synthesize(args: SimpleNamespace) -> tuple[int, str]:
             "count": len(results),
             "assignments": [e.to_document() for e in results],
         }
-        return code, json.dumps(document, indent=2)
+        return code, dumps(document)
     lines = [" ".join(f"{label}={e.values[label]}" for label in e.labels) for e in results]
     return code, "\n".join([*lines, f"found {len(results)}"])
 

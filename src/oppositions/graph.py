@@ -173,32 +173,42 @@ def to_dot(g: OppositionGraph) -> str:
 def to_structured(obj: object) -> str:
     """Canonical JSON for graphs, segment assignments, and verification reports.
 
-    Byte-stable: identical inputs always serialize to identical text.
+    Byte-stable: the text is byte for byte ``json.dumps(document, indent=2)``,
+    written by ``document.dumps`` so that no command imports ``json``.
     """
-    import json
+    from .document import dumps
     document = getattr(obj, "to_document", None)
     if document is None:
         raise TypeError(f"no structured form for {type(obj).__name__}")
-    return json.dumps(document(), indent=2)
+    return dumps(document())
 
 
 def from_structured(text: str) -> OppositionGraph:
-    """Read an opposition graph back from its structured form."""
+    """Read an opposition graph back from its structured form, or raise ValueError."""
     import json
     document = json.loads(text)
-    if document.get("kind") != "opposition_graph":
-        raise ValueError(f"not an opposition graph document: {document.get('kind')!r}")
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version: {document.get('schema_version')!r}")
+    kind = document.get("kind") if isinstance(document, dict) else type(document).__name__
+    if kind != "opposition_graph":
+        raise ValueError(f"not an opposition graph document: {kind!r}")
+    version, nodes, pairs = (document.get(key) for key in ("schema_version", "nodes", "pairs"))
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1, but is no version
+        raise ValueError(f"unsupported schema_version: {version!r}")
+    if not isinstance(nodes, list) or not all(isinstance(node, str) for node in nodes):
+        raise ValueError("nodes must be a list of strings")
+    if not isinstance(pairs, list) or not all(isinstance(entry, dict) for entry in pairs):
+        raise ValueError("pairs must be a list of objects")
     edges = {}
-    for entry in document["pairs"]:
-        kind = RelationKind(entry["relation"])
-        if kind is RelationKind.SUBALTERN:
-            relation = subaltern(entry["from"], entry["to"])
-        else:
-            relation = Relation(kind)
-        edges[frozenset((entry["a"], entry["b"]))] = relation
-    return OppositionGraph(tuple(document["nodes"]), edges)
+    for entry in pairs:
+        try:
+            kind = RelationKind(entry["relation"])
+            if kind is RelationKind.SUBALTERN:
+                relation = subaltern(entry["from"], entry["to"])
+            else:
+                relation = Relation(kind)
+            edges[frozenset((entry["a"], entry["b"]))] = relation
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"malformed pair entry: {err!r}") from None
+    return OppositionGraph(tuple(nodes), edges)
 
 
 def render_segment(assignment) -> str:

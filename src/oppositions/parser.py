@@ -254,11 +254,12 @@ def parse_sentence(text: str, *, line: int = 1, col_offset: int = 0) -> Sentence
 
 
 def parse_corpus(text: str) -> Corpus:
-    """Parse a labelled corpus; vocabulary is inferred from the sentences."""
+    """Parse a labelled corpus, less one leading U+FEFF (a byte order mark);
+    vocabulary is inferred from the sentences."""
     entries: list[tuple[str, Sentence]] = []
     seen: set[str] = set()
     predicates: list[str] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         cut = raw.find("#")
         content = raw if cut < 0 else raw[:cut]
         if not content.strip():

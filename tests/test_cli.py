@@ -175,6 +175,19 @@ class TestGraph:
         assert code == 0
         assert "I O subcontrary" in out
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, source):
+        data = ("\ufeff" + SQUARE_CORPUS + "\n").encode("utf-8")
+        path = tmp_path / "bom.corpus"
+        path.write_bytes(data)
+        done = subprocess.run(
+            [*CHILD, "graph", "--corpus", str(path) if source == "file" else "-"],
+            input=data if source == "stdin" else None, capture_output=True,
+            env=child_env(PYTHONIOENCODING="utf-8"), timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (GOLDEN / "graph-square-text.out").read_bytes()
+
 
 class TestEncode:
     def test_square_matches(self, capsys, square_file):
@@ -565,14 +578,14 @@ class TestImportContract:
     # the error rows guard main's exit-code table, which looks segment up
     # without importing it
     @pytest.mark.parametrize(
-        "corpus,argv,code,json_free",
+        "corpus,argv,code",
         [
-            (None, ("classify", "A[P]", "O[P]"), 0, True),
-            (SQUARE_CORPUS, ("graph", "--format", "text"), 0, True),
-            (SQUARE_CORPUS, ("graph", "--format", "dot"), 0, True),
-            (SQUARE_CORPUS, ("graph", "--format", "structured"), 0, False),
-            (None, ("classify", "A[P", "O[P]"), 2, True),
-            (None, ("classify", "A[P]", "O[Q]"), 3, True),
+            (None, ("classify", "A[P]", "O[P]"), 0),
+            (SQUARE_CORPUS, ("graph", "--format", "text"), 0),
+            (SQUARE_CORPUS, ("graph", "--format", "dot"), 0),
+            (SQUARE_CORPUS, ("graph", "--format", "structured"), 0),
+            (None, ("classify", "A[P", "O[P]"), 2),
+            (None, ("classify", "A[P]", "O[Q]"), 3),
             (
                 None,
                 (
@@ -581,11 +594,10 @@ class TestImportContract:
                     "exists x. " + " & ".join(TWENTY_FIVE),
                 ),
                 2,
-                True,
             ),
-            ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2, True),
-            (None, ("classify", "-h"), 0, True),
-            (SQUARE_CORPUS, ("graph", "--format", "svg"), 2, True),
+            ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2),
+            (None, ("classify", "-h"), 0),
+            (SQUARE_CORPUS, ("graph", "--format", "svg"), 2),
         ],
         ids=[
             "classify",
@@ -600,12 +612,12 @@ class TestImportContract:
             "graph-argument-refused",
         ],
     )
-    def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, code, json_free):
+    def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, code):
         loaded = loaded_modules(tmp_path, corpus, argv, code)
-        assert {m for m in loaded if m.startswith("oppositions")} == ORACLE_MODULES
+        writer = {"oppositions.document"} if "structured" in argv else set()
+        assert {m for m in loaded if m.startswith("oppositions")} == ORACLE_MODULES | writer
         assert not NEVER_LOADED & loaded
-        if json_free:
-            assert "json" not in loaded
+        assert "json" not in loaded
 
     def test_encode_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", "structured"))
@@ -621,6 +633,15 @@ class TestImportContract:
         loaded = loaded_modules(tmp_path, HEXAGON_CORPUS, ("synthesize",))
         assert "oppositions.segment" in loaded
         assert not NEVER_LOADED & loaded
+
+    @pytest.mark.parametrize(
+        "corpus,argv", [(SQUARE_CORPUS, ("encode",)), (HEXAGON_CORPUS, ("synthesize",))],
+        ids=["encode", "synthesize"],
+    )
+    def test_structured_documents_load_the_writer_not_json(self, tmp_path, corpus, argv):
+        loaded = loaded_modules(tmp_path, corpus, (*argv, "--format", "structured"))
+        assert {"oppositions.document", "oppositions.segment"} <= loaded
+        assert "json" not in loaded
 
 
 class TestBrokenPipe:
@@ -970,12 +991,30 @@ README_COMMANDS = {
 # on their sums, at a magnitude where most of its candidates are no longer
 # built, and with the labels out of role order.
 SHUFFLED_HEXAGON = "\n".join(f"{form}: {form}[P]" for form in "YAOUIE")
+# Labels that json.dumps escapes: a quote, a backslash, a non-ASCII letter
+# and an astral character, written as a surrogate pair.
+ESCAPED_LABELS = "\n".join(
+    f"{label}: {form}[P]" for label, form in zip(('a"b', "c\\", "é", "\U0001f600"), "AEIO")
+)
 GOLDEN_COMMANDS = README_COMMANDS | {
     "synthesize-shuffled-hexagon-16": (
         SHUFFLED_HEXAGON,
         ("synthesize", "--clauses", "hexagon", "--magnitude", "16"),
         0,
     ),
+    # one row for each structured document kind, recorded from json.dumps
+    "encode-square-structured": (SQUARE_CORPUS, ("encode", "--format", "structured"), 0),
+    "encode-hexagon-square-structured": (
+        HEXAGON_CORPUS,
+        ("encode", "--format", "structured", "--clauses", "square"),
+        5,
+    ),
+    "synthesize-hexagon-hexagon-structured": (
+        HEXAGON_CORPUS,
+        ("synthesize", "--format", "structured", "--clauses", "hexagon", "--magnitude", "6"),
+        0,
+    ),
+    "graph-escaped-labels-structured": (ESCAPED_LABELS, ("graph", "--format", "structured"), 0),
 }
 
 

@@ -218,6 +218,37 @@ class TestStructured:
         with pytest.raises(ValueError, match="schema_version"):
             from_structured(json.dumps(document))
 
+    @pytest.mark.parametrize("text", ["[]", '"opposition_graph"', "null"])
+    def test_reader_refuses_a_document_that_is_no_object(self, text):
+        with pytest.raises(ValueError, match="not an opposition graph"):
+            from_structured(text)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("pairs"),
+            lambda d: d.pop("nodes"),
+            lambda d: d["pairs"][0].pop("relation"),
+            lambda d: d["pairs"][1].pop("from"),
+            lambda d: d["pairs"][0].pop("a"),
+            lambda d: d["pairs"][0].update(a=["A"]),
+            lambda d: d.update(nodes=[[1], [2]]),
+            lambda d: d.update(nodes="AEIO"),
+            lambda d: d.update(pairs=[["A", "E", "contrary"]]),
+            lambda d: d.update(schema_version=True),
+        ],
+        ids=[
+            "no-pairs", "no-nodes", "no-relation", "no-from", "no-a", "list-label",
+            "list-nodes", "string-nodes", "array-pair", "bool-version",
+        ],
+    )
+    def test_reader_refuses_a_malformed_document(self, edit):
+        document = json.loads(to_structured(square_graph()))
+        assert document["pairs"][1]["relation"] == "subaltern"
+        edit(document)
+        with pytest.raises(ValueError):
+            from_structured(json.dumps(document))
+
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             to_structured(42)

@@ -232,6 +232,12 @@ class TestCorpus:
             parse_corpus(f"A: A[P]\n{label}: A[P]")
         assert err.value.line == 2
 
+    def test_one_leading_byte_order_mark_is_dropped(self):
+        assert parse_corpus("\ufeffA: A[P]\nO: O[P]") == parse_corpus("A: A[P]\nO: O[P]")
+        with pytest.raises(ParseError, match="invalid label") as err:
+            parse_corpus("\ufeff\ufeffA: A[P]\nO: O[P]")
+        assert (err.value.line, err.value.col) == (1, 1)
+
     def test_missing_colon(self):
         with pytest.raises(ParseError, match="label"):
             parse_corpus("just a sentence")
