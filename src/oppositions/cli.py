@@ -56,8 +56,8 @@ from .formula import Sentence
 from .graph import (
     A_LOW,
     OppositionGraph,
-    SCHEMA_VERSION,
     UNIVERSAL_MAPS,
+    envelope,
     render_segment,
     to_dot,
     to_structured,
@@ -150,14 +150,12 @@ def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
 
     if args.format == "structured":
         from .document import dumps
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "encoding_report",
-            "clauses": clauses.value,
-            "assignment": assignment.to_document(),
-            "verification": report.to_document(),
-        }
-        return code, dumps(document)
+        return code, dumps(envelope(
+            "encoding_report",
+            clauses=clauses.value,
+            assignment=assignment.to_document(),
+            verification=report.to_document(),
+        ))
     if args.format == "dot":
         return code, to_dot(segment.decode_graph(assignment, clauses))
     lines = ["assignment:"]
@@ -184,15 +182,13 @@ def _cmd_synthesize(args: SimpleNamespace) -> tuple[int, str]:
 
     if args.format == "structured":
         from .document import dumps
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "synthesis_result",
-            "clauses": clauses.value,
-            "magnitude_bound": magnitude,
-            "count": len(results),
-            "assignments": [e.to_document() for e in results],
-        }
-        return code, dumps(document)
+        return code, dumps(envelope(
+            "synthesis_result",
+            clauses=clauses.value,
+            magnitude_bound=magnitude,
+            count=len(results),
+            assignments=[e.to_document() for e in results],
+        ))
     lines = [" ".join(f"{label}={e.values[label]}" for label in e.labels) for e in results]
     return code, "\n".join([*lines, f"found {len(results)}"])
 

@@ -185,18 +185,24 @@ class Implies(Sentence):
     right: Sentence
 
 
-def sentence_predicates(s: Sentence) -> tuple[str, ...]:
-    """Predicate names used in a sentence or matrix, in first-occurrence order."""
-    if isinstance(s, Atom):
-        return (s.predicate,)
-    if isinstance(s, Quantified):
-        return sentence_predicates(s.matrix)
-    if isinstance(s, Not):
-        return sentence_predicates(s.body)
-    if isinstance(s, (And, Or, Implies)):
-        left = sentence_predicates(s.left)
-        return left + tuple(p for p in sentence_predicates(s.right) if p not in left)
-    raise TypeError(f"not a sentence: {s!r}")
+def sentence_predicates(*sentences: Sentence) -> tuple[str, ...]:
+    """Predicate names used in the sentences or matrices, in first-occurrence
+    order; the one rule by which a corpus or a sentence list gets its vocabulary."""
+    found: dict[str, None] = {}
+    stack = list(reversed(sentences))
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Atom):
+            found[s.predicate] = None
+        elif isinstance(s, Quantified):
+            stack.append(s.matrix)
+        elif isinstance(s, Not):
+            stack.append(s.body)
+        elif isinstance(s, (And, Or, Implies)):
+            stack += (s.right, s.left)
+        else:
+            raise TypeError(f"not a sentence: {s!r}")
+    return tuple(found)
 
 
 def make_categorical(form: str, predicate: str, representation: str = MIXED) -> Sentence:

@@ -26,6 +26,11 @@ UNIVERSAL_MAPS = (A_LOW, A_HIGH)
 MAX_SEGMENT_COLUMNS = 100_000
 
 
+def envelope(kind: str, **fields: object) -> dict[str, object]:
+    """A structured document: ``schema_version`` and ``kind``, then ``fields`` in order."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 class RelationKind(Enum):
     CONTRADICTORY = "contradictory"
     CONTRARY = "contrary"
@@ -118,20 +123,9 @@ class OppositionGraph:
         for a, b in combinations(self.nodes, 2):
             yield a, b, self.relation(a, b)
 
-    def kind_counts(self) -> dict[RelationKind, int]:
-        counts = {kind: 0 for kind in RelationKind}
-        for _, _, relation in self.pairs():
-            counts[relation.kind] += 1
-        return counts
-
     def to_document(self) -> dict[str, object]:
         pairs = [{"a": a, "b": b, **relation.entry()} for a, b, relation in self.pairs()]
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "opposition_graph",
-            "nodes": list(self.nodes),
-            "pairs": pairs,
-        }
+        return envelope("opposition_graph", nodes=list(self.nodes), pairs=pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OppositionGraph):
@@ -208,6 +202,13 @@ def from_structured(text: str) -> OppositionGraph:
             edges[frozenset((entry["a"], entry["b"]))] = relation
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed pair entry: {err!r}") from None
+        unread = entry.keys() - {"a", "b", *relation.entry()}
+        if unread:
+            raise ValueError(f"pair entry with keys the reader does not read: {sorted(unread)}")
+        if not all(isinstance(entry[key], str) for key in entry.keys() - {"relation"}):
+            raise ValueError(f"pair labels must be strings: {entry!r}")
+    if len(edges) != len(pairs):
+        raise ValueError("pairs must list each unordered pair of nodes once")
     return OppositionGraph(tuple(nodes), edges)
 
 

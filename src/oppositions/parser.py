@@ -258,7 +258,6 @@ def parse_corpus(text: str) -> Corpus:
     vocabulary is inferred from the sentences."""
     entries: list[tuple[str, Sentence]] = []
     seen: set[str] = set()
-    predicates: list[str] = []
     for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         cut = raw.find("#")
         content = raw if cut < 0 else raw[:cut]
@@ -277,9 +276,6 @@ def parse_corpus(text: str) -> Corpus:
             sentence_part, line=lineno, col_offset=len(label_part) + 1
         )
         entries.append((label, sentence))
-        for pred in sentence_predicates(sentence):
-            if pred not in predicates:
-                predicates.append(pred)
     if not entries:
         raise ParseError("corpus has no entries", 1, 1)
-    return Corpus(tuple(entries), Vocabulary(tuple(predicates)))
+    return Corpus(tuple(entries), Vocabulary(sentence_predicates(*(s for _, s in entries))))

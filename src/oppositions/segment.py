@@ -39,8 +39,8 @@ from .graph import (  # A_HIGH, A_LOW and UNIVERSAL_MAPS are re-exported
     SUBCONTRARY,
     OppositionGraph,
     Relation,
-    SCHEMA_VERSION,
     UNIVERSAL_MAPS,
+    envelope,
     subaltern,
 )
 from .parser import Corpus
@@ -116,14 +116,10 @@ class SegmentAssignment(Record):
         return tuple(label for label in self.labels if self.roles[label] is role)
 
     def to_document(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "segment_assignment",
-            "labels": [
-                {"label": label, "value": self.values[label], "role": self.roles[label].value}
-                for label in self.labels
-            ],
-        }
+        return envelope("segment_assignment", labels=[
+            {"label": label, "value": self.values[label], "role": self.roles[label].value}
+            for label in self.labels
+        ])
 
 
 def make_square_assignment(
@@ -367,20 +363,15 @@ class VerificationReport(Record):
         return not self.mismatches
 
     def to_document(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "verification_report",
-            "matches": self.matches,
-            "mismatches": [
-                {
-                    "a": m.a,
-                    "b": m.b,
-                    "decoded": m.decoded.entry(),
-                    "semantic": m.semantic.entry(),
-                }
-                for m in self.mismatches
-            ],
-        }
+        return envelope("verification_report", matches=self.matches, mismatches=[
+            {
+                "a": m.a,
+                "b": m.b,
+                "decoded": m.decoded.entry(),
+                "semantic": m.semantic.entry(),
+            }
+            for m in self.mismatches
+        ])
 
 
 def verify_against(

@@ -63,17 +63,11 @@ def _compile(vocab: Vocabulary, sentences: Iterable[Sentence]) -> tuple[Callable
             raise TypeError(f"not a matrix: {s!r}")
         return atoms[s.predicate]
 
-    # each leaf's answer by node identity, holding the node so that no other takes its id;
-    # hashing a node instead would walk its whole tree again
-    memo: dict[int, tuple[Sentence, tuple[int, bool]]] = {}
-
     def leaf(s: Sentence) -> tuple[int, bool]:
-        if id(s) not in memo:
-            if not isinstance(s, Quantified):
-                raise TypeError(f"not a sentence: {s!r}")
-            inside = _fold(s.matrix, atom, full)
-            memo[id(s)] = s, (full ^ inside, True) if s.quantifier == FORALL else (inside, False)
-        return memo[id(s)][1]
+        if not isinstance(s, Quantified):
+            raise TypeError(f"not a sentence: {s!r}")
+        inside = _fold(s.matrix, atom, full)
+        return (full ^ inside, True) if s.quantifier == FORALL else (inside, False)
 
     seen: dict[int, int] = {}
     for s in sentences:  # a fold only to reach every leaf; its mask is dropped
@@ -182,7 +176,7 @@ def classification_evidence(
 
 def exact_bound(sentences: list[Sentence]) -> int:
     """The least bound at which every answer over the sentences is exact."""
-    vocab = Vocabulary(tuple({p: 0 for s in sentences for p in sentence_predicates(s)}))
+    vocab = Vocabulary(sentence_predicates(*sentences))
     return min(1 << len(vocab), len(_compile(vocab, sentences)[1]))
 
 

@@ -935,6 +935,14 @@ class TestArgumentTable:
         assert reference_args(argv) is None
         assert run(capsys, *argv) == (2, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize("command", ["encode", "synthesize"])
+    def test_clause_choices_are_the_clause_systems(self, command):
+        # the table holds its own copy, so that parsing never imports segment
+        from oppositions.segment import ClauseSystem
+
+        flags = {flag[0]: flag for flag in cli.COMMANDS[command][2]}
+        assert flags["--clauses"][2] == tuple(c.value for c in ClauseSystem)
+
     def test_abbreviated_flags_are_refused(self, capsys):
         argv = ("synthesize", "--corpus", "-", "--mag", "6")
         assert reference_args(argv)["magnitude"] == 6

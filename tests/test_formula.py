@@ -3,6 +3,8 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oppositions import (
     EXISTS,
@@ -25,6 +27,7 @@ from oppositions.parser import parse_corpus
 from oppositions.segment import Mismatch, Role, SegmentAssignment, VerificationReport
 from oppositions.segment import make_square_assignment
 from oppositions.semantics import Evidence
+from conftest import sentence_strategy
 
 P = Atom("P")
 
@@ -155,6 +158,37 @@ class TestVocabulary:
     def test_predicate_order_is_first_occurrence(self):
         s = And(make_categorical("A", "Q"), make_categorical("I", "P"))
         assert sentence_predicates(s) == ("Q", "P")
+
+    def test_predicates_of_several_sentences_in_first_occurrence_order(self):
+        a = make_categorical("I", "R")
+        b = And(make_categorical("A", "Q"), make_categorical("I", "R"))
+        assert sentence_predicates(a, b, make_categorical("O", "P")) == ("R", "Q", "P")
+        assert sentence_predicates() == ()
+
+    @pytest.mark.parametrize("args", [("P",), (P, Not("Q")), (make_categorical("A", "P"), None)])
+    def test_a_non_sentence_is_refused(self, args):
+        with pytest.raises(TypeError, match="not a sentence"):
+            sentence_predicates(*args)
+
+    @given(st.lists(sentence_strategy(("P", "Q", "R")), max_size=4))
+    def test_same_order_as_the_frozen_rule(self, sentences):
+        # the rule parse_corpus and exact_bound each wrote out before
+        predicates = []
+        for s in sentences:
+            predicates += [p for p in frozen_predicates(s) if p not in predicates]
+        assert sentence_predicates(*sentences) == tuple(predicates)
+
+
+def frozen_predicates(s):
+    """The recursive one-sentence rule that ``sentence_predicates`` replaced."""
+    if isinstance(s, Atom):
+        return (s.predicate,)
+    if isinstance(s, Quantified):
+        return frozen_predicates(s.matrix)
+    if isinstance(s, Not):
+        return frozen_predicates(s.body)
+    left = frozen_predicates(s.left)
+    return left + tuple(p for p in frozen_predicates(s.right) if p not in left)
 
 
 # --- records: the value classes behind sentences, corpora and reports ---

@@ -103,6 +103,14 @@ class TestGraphEqual:
     def test_different_nodes(self):
         assert not graph_equal(square_graph(), two_node_graph())
 
+    def test_a_non_graph_is_left_to_the_other_operand(self):
+        g = square_graph()
+        assert g.__eq__(g.edges) is NotImplemented
+        assert g != g.edges and g == square_graph()
+
+    def test_repr_names_the_nodes(self):
+        assert repr(square_graph()) == "OppositionGraph(nodes=('A', 'E', 'I', 'O'))"
+
 
 class TestToDot:
     def test_square_counts(self):
@@ -236,14 +244,21 @@ class TestStructured:
             lambda d: d.update(nodes="AEIO"),
             lambda d: d.update(pairs=[["A", "E", "contrary"]]),
             lambda d: d.update(schema_version=True),
+            lambda d: d["pairs"].append({**d["pairs"][0], "relation": "contradictory"}),
+            lambda d: d["pairs"][0].update({"from": "A"}),
+            lambda d: d["pairs"][0].update({"to": "E"}),
+            lambda d: d["pairs"][1].update(note="x"),
+            lambda d: d["pairs"][1].update({"from": ["A"]}),
         ],
         ids=[
             "no-pairs", "no-nodes", "no-relation", "no-from", "no-a", "list-label",
-            "list-nodes", "string-nodes", "array-pair", "bool-version",
+            "list-nodes", "string-nodes", "array-pair", "bool-version", "pair-twice",
+            "from-on-contrary", "to-on-contrary", "extra-key", "list-from",
         ],
     )
     def test_reader_refuses_a_malformed_document(self, edit):
         document = json.loads(to_structured(square_graph()))
+        assert document["pairs"][0] == {"a": "A", "b": "E", "relation": "contrary"}
         assert document["pairs"][1]["relation"] == "subaltern"
         edit(document)
         with pytest.raises(ValueError):

@@ -2,6 +2,10 @@
 object its submodule defines."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +42,22 @@ class TestExports:
         for module in ("formula", "parser", "graph", "semantics", "segment"):
             assert getattr(oppositions, module) is importlib.import_module(f"oppositions.{module}")
         assert oppositions.A_LOW is importlib.import_module("oppositions.segment").A_LOW
+
+    def test_a_fresh_interpreter_loads_each_submodule_on_access(self):
+        # in-process, collecting the test modules has imported every submodule
+        src = str(Path(oppositions.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_ACCESS], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+FRESH_ACCESS = """\
+import sys
+import oppositions
+assert "oppositions.segment" not in sys.modules, sorted(sys.modules)
+for name in ["segment", *sorted(oppositions._SUBMODULES - {"segment"})]:
+    assert getattr(oppositions, name) is sys.modules[f"oppositions.{name}"], name
+print("ok")
+"""

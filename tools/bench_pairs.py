@@ -19,8 +19,8 @@ median and quartiles, and the number of pairs the change won (strictly
 better than the parent in the same pair), next to the bound from
 ``BENCHMARK.json``; the seconds behind ``verdict_p50_x`` and each side's
 per-layer metrics the same way, as median, quartiles and runs; the
-seeds, each side's ``src/`` line count and the machine facts
-``bench/run.py`` reports.  Children run with
+seeds, each side's ``src/`` line count in all and per module, and the
+machine facts ``bench/run.py`` reports.  Children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so every CLI call compiles what it imports.
 """
 
@@ -58,6 +58,13 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def module_lines(tree: Path) -> dict[str, int]:
+    """Lines of each ``src/oppositions/*.py`` in an exported tree, counted as
+    ``bench/run.py`` counts ``src_lines``: one per newline."""
+    package = tree / "src" / "oppositions"
+    return {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
 
 
 def order(i: int) -> tuple[str, ...]:
@@ -122,6 +129,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), trees[side]) for side in SIDES}
+        modules = {side: module_lines(trees[side]) for side in SIDES}
         report = {
             "schema_version": 1,
             "kind": "bench_pairs",
@@ -160,6 +168,7 @@ def main(argv=None) -> int:
                 "traced": {side: traced_summary(traced[side]) for side in SIDES},
             }
     report["src_lines"] = {side: facts[side]["src_lines"] for side in SIDES}
+    report["module_lines"] = modules
     report["machine"] = {k: facts["change"][k] for k in ("nproc", "cpus_usable", "python")}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -67,3 +67,15 @@ class TestOrder:
         assert [bench_pairs.order(i) for i in range(3)] == [
             ("parent", "change"), ("change", "parent"), ("parent", "change"),
         ]
+
+
+class TestModuleLines:
+    def test_each_package_module_by_newlines(self, tmp_path):
+        package = tmp_path / "src" / "oppositions"
+        package.mkdir(parents=True)
+        (package / "graph.py").write_bytes(b"a\nb\n")
+        (package / "cli.py").write_bytes(b"x = 1\n\ny = 2")  # no final newline
+        (package / "notes.txt").write_text("not a module\n")
+        (package / "sub").mkdir()
+        (package / "sub" / "deep.py").write_text("skipped\n")
+        assert bench_pairs.module_lines(tmp_path) == {"cli.py": 2, "graph.py": 2}
