@@ -178,38 +178,28 @@ def to_structured(obj: object) -> str:
 
 
 def from_structured(text: str) -> OppositionGraph:
-    """Read an opposition graph back from its structured form, or raise ValueError."""
+    """Read back a graph that ``to_structured`` wrote, or raise ValueError.
+
+    It accepts exactly what the writer writes, in any JSON layout: the
+    graph built from ``nodes`` and ``pairs`` must write the document back,
+    with string nodes and an ``int`` schema_version (``True == 1``).
+    """
     import json
-    document = json.loads(text)
-    kind = document.get("kind") if isinstance(document, dict) else type(document).__name__
-    if kind != "opposition_graph":
-        raise ValueError(f"not an opposition graph document: {kind!r}")
-    version, nodes, pairs = (document.get(key) for key in ("schema_version", "nodes", "pairs"))
-    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1, but is no version
-        raise ValueError(f"unsupported schema_version: {version!r}")
-    if not isinstance(nodes, list) or not all(isinstance(node, str) for node in nodes):
-        raise ValueError("nodes must be a list of strings")
-    if not isinstance(pairs, list) or not all(isinstance(entry, dict) for entry in pairs):
-        raise ValueError("pairs must be a list of objects")
-    edges = {}
-    for entry in pairs:
-        try:
-            kind = RelationKind(entry["relation"])
-            if kind is RelationKind.SUBALTERN:
-                relation = subaltern(entry["from"], entry["to"])
-            else:
-                relation = Relation(kind)
-            edges[frozenset((entry["a"], entry["b"]))] = relation
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"malformed pair entry: {err!r}") from None
-        unread = entry.keys() - {"a", "b", *relation.entry()}
-        if unread:
-            raise ValueError(f"pair entry with keys the reader does not read: {sorted(unread)}")
-        if not all(isinstance(entry[key], str) for key in entry.keys() - {"relation"}):
-            raise ValueError(f"pair labels must be strings: {entry!r}")
-    if len(edges) != len(pairs):
-        raise ValueError("pairs must list each unordered pair of nodes once")
-    return OppositionGraph(tuple(nodes), edges)
+    try:
+        document = json.loads(text)
+        edges = {frozenset((e["a"], e["b"])): _entry_relation(e) for e in document["pairs"]}
+        graph = OppositionGraph(tuple(document["nodes"]), edges)
+        written = graph.to_document() == document and type(document["schema_version"]) is int
+    except (KeyError, TypeError, RecursionError) as err:
+        raise ValueError(f"not an opposition graph document: {err!r}") from None
+    if not written or not all(isinstance(node, str) for node in graph.nodes):
+        raise ValueError(f"not a schema_version {SCHEMA_VERSION} graph as to_structured writes it")
+    return graph
+
+
+def _entry_relation(entry: dict) -> Relation:
+    """A pair entry's relation, read back from ``Relation.entry``'s fields."""
+    return Relation(RelationKind(entry["relation"]), entry.get("from"), entry.get("to"))
 
 
 def render_segment(assignment) -> str:

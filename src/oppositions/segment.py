@@ -31,8 +31,7 @@ from math import comb
 
 from .formula import FORALL, REPRESENTATIONS, Sentence, And, Not, Or, Quantified
 from .formula import Record, make_categorical
-from .graph import (  # A_HIGH, A_LOW and UNIVERSAL_MAPS are re-exported
-    A_HIGH,
+from .graph import (
     A_LOW,
     CONTRADICTORY,
     CONTRARY,

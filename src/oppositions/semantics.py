@@ -157,8 +157,8 @@ def _shared_vocabulary(a: Sentence, b: Sentence, vocab: Vocabulary | None) -> Vo
         return vocab
     if set(preds_a) != set(preds_b):
         raise VocabularyMismatchError(
-            f"sentences use different predicates ({sorted(set(preds_a))} vs "
-            f"{sorted(set(preds_b))}); pass an explicit shared vocabulary"
+            "vocabulary mismatch: sentences use different predicates "
+            f"({sorted(set(preds_a))} vs {sorted(set(preds_b))})"
         )
     return Vocabulary(preds_a)
 
@@ -209,7 +209,9 @@ def classify(
     falsehoods) satisfies the subcontrariety (resp. contrariety) evidence
     as well, and equivalence wins.  Subalternation requires genuine
     one-directional entailment between logically independent sentences,
-    so equivalent sentences are never subalterns of each other.
+    so equivalent sentences are never subalterns of each other.  Sentences
+    over different predicates raise VocabularyMismatchError unless ``vocab``
+    holds the predicates of both.
     """
     return _relation(classification_evidence(a, b, max_size, vocab), names)
 

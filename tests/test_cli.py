@@ -74,6 +74,14 @@ class TestClassify:
         assert out == ""
         assert "vocabulary" in err
 
+    def test_vocabulary_mismatch_line(self, capsys):
+        # the CLI has no vocabulary option, so the line only states the mismatch
+        code, out, err = run(capsys, "classify", "A[P]", "O[Q]")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: vocabulary mismatch: sentences use different predicates (['P'] vs ['Q'])\n"
+        )
+
     def test_five_predicates_at_the_default_bound(self, capsys):
         code, out, err = run(
             capsys,

@@ -1,7 +1,10 @@
 import json
 import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppositions import (
     CONTRADICTORY,
@@ -43,6 +46,55 @@ def check_dot_syntax(text):
 
 def square_graph():
     return decode_graph(make_square_assignment(1, 2), ClauseSystem.SQUARE)
+
+
+def hexagon_graph():
+    return decode_graph(extend_hexagon(make_square_assignment(1, 2)), ClauseSystem.HEXAGON)
+
+
+# labels from every Unicode scalar value, so that dumps writes its escapes;
+# surrogates are left out, as a high one before a low one reads back as one
+# character
+LABELS = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=3)
+
+
+@st.composite
+def graphs(draw):
+    """A graph of 2 to 6 labels with any relation, either way round, per pair."""
+    nodes = draw(st.lists(LABELS, min_size=2, max_size=6, unique=True))
+    edges = {}
+    for pair in combinations(nodes, 2):
+        kind = draw(st.sampled_from(RelationKind))
+        if kind is RelationKind.SUBALTERN:
+            edges[frozenset(pair)] = subaltern(*draw(st.permutations(pair)))
+        else:
+            edges[frozenset(pair)] = Relation(kind)
+    return OppositionGraph(tuple(nodes), edges)
+
+
+def value_paths(value, path=()):
+    """The path of every value nested in a document, the document itself left out."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    paths = []
+    for key, item in items:
+        paths.append((*path, key))
+        if isinstance(item, (dict, list)):
+            paths.extend(value_paths(item, (*path, key)))
+    return paths
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: (
+        st.lists(children, max_size=3) | st.dictionaries(st.text(), children, max_size=3)
+    ),
+    max_leaves=8,
+)
+# values a graph document holds, so that an edit can still give a graph
+NEAR_VALUES = st.sampled_from(
+    ["A", "E", "I", "O", "U", "Y", "Z", "opposition_graph", "segment_assignment", 0, 1, 2, True,
+     1.0, *(kind.value for kind in RelationKind)]
+)
 
 
 def two_node_graph():
@@ -263,6 +315,56 @@ class TestStructured:
         edit(document)
         with pytest.raises(ValueError):
             from_structured(json.dumps(document))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("schema_version"),
+            lambda d: d["pairs"].append(d["pairs"][0]),
+            lambda d: d["pairs"].reverse(),
+            lambda d: d.update(note="x"),
+            lambda d: d.update(nodes=[1, 2], pairs=[{"a": 1, "b": 2, "relation": "contrary"}]),
+        ],
+        ids=["no-version", "pair-repeated", "pairs-reversed", "extra-top-level-key", "int-nodes"],
+    )
+    def test_reader_refuses_what_the_writer_never_writes(self, edit):
+        # each builds a graph, but not one that writes this document back
+        document = json.loads(to_structured(square_graph()))
+        edit(document)
+        with pytest.raises(ValueError, match="as to_structured writes it"):
+            from_structured(json.dumps(document))
+
+    def test_reader_refuses_deep_nesting_with_value_error(self):
+        # json.loads raises RecursionError here on Python 3.11, which is no ValueError
+        with pytest.raises(ValueError):
+            from_structured("[" * 100000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reads_back_every_graph_it_writes(self, data):
+        g = data.draw(graphs())
+        compact = json.dumps(g.to_document(), separators=(",", ":"), ensure_ascii=False)
+        for text in (to_structured(g), compact):
+            read = from_structured(text)
+            assert read == g and read.nodes == g.nodes
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_reader_on_one_edited_value(self, data):
+        document = json.loads(to_structured(hexagon_graph()))
+        *path, last = data.draw(st.sampled_from(value_paths(document)), label="path")
+        parent = document
+        for key in path:
+            parent = parent[key]
+        if data.draw(st.booleans(), label="drop"):
+            del parent[last]
+        else:
+            parent[last] = data.draw(NEAR_VALUES | JSON_VALUES, label="value")
+        try:
+            read = from_structured(json.dumps(document))
+        except ValueError:
+            return
+        assert to_structured(read) == json.dumps(document, indent=2)
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

@@ -19,9 +19,10 @@ median and quartiles, and the number of pairs the change won (strictly
 better than the parent in the same pair), next to the bound from
 ``BENCHMARK.json``; the seconds behind ``verdict_p50_x`` and each side's
 per-layer metrics the same way, as median, quartiles and runs; the
-seeds, each side's ``src/`` line count in all and per module, and the
-machine facts ``bench/run.py`` reports.  Children run with
-``PYTHONDONTWRITEBYTECODE=1``, so every CLI call compiles what it imports.
+seeds, each side's ``src/`` line count in all and per module, the lines
+that ``classify`` loads, and the machine facts ``bench/run.py`` reports.
+Children run with ``PYTHONDONTWRITEBYTECODE=1``, so every CLI call
+compiles what it imports.
 """
 
 from __future__ import annotations
@@ -65,6 +66,26 @@ def module_lines(tree: Path) -> dict[str, int]:
     ``bench/run.py`` counts ``src_lines``: one per newline."""
     package = tree / "src" / "oppositions"
     return {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
+
+
+def classify_path_lines(tree: Path) -> int:
+    """Lines of the package modules that ``python -m oppositions classify
+    'A[P]' 'O[P]'`` loads in an exported tree, ``__main__.py`` included,
+    each counted as ``module_lines`` counts it.  ``-X importtime`` names
+    every module the run imports; ``__main__`` runs without an import."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "oppositions", "classify", "A[P]", "O[P]"],
+        check=True, capture_output=True, text=True, cwd=tree, env=env,
+    )
+    names = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    files = {"__main__.py"} | {
+        ("__init__" if name == "oppositions" else name.removeprefix("oppositions.")) + ".py"
+        for name in names
+        if name.split(".")[0] == "oppositions"
+    }
+    lines = module_lines(tree)
+    return sum(lines[file] for file in files)
 
 
 def order(i: int) -> tuple[str, ...]:
@@ -130,6 +151,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), trees[side]) for side in SIDES}
         modules = {side: module_lines(trees[side]) for side in SIDES}
+        classify_path = {side: classify_path_lines(trees[side]) for side in SIDES}
         report = {
             "schema_version": 1,
             "kind": "bench_pairs",
@@ -169,6 +191,7 @@ def main(argv=None) -> int:
             }
     report["src_lines"] = {side: facts[side]["src_lines"] for side in SIDES}
     report["module_lines"] = modules
+    report["classify_path_lines"] = classify_path
     report["machine"] = {k: facts["change"][k] for k in ("nproc", "cpus_usable", "python")}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -79,3 +79,18 @@ class TestModuleLines:
         (package / "sub").mkdir()
         (package / "sub" / "deep.py").write_text("skipped\n")
         assert bench_pairs.module_lines(tmp_path) == {"cli.py": 2, "graph.py": 2}
+
+
+class TestClassifyPathLines:
+    def test_modules_the_classify_run_loads(self, tmp_path):
+        package = tmp_path / "src" / "oppositions"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text("from . import cli\n\ncli.run()\n")
+        (package / "cli.py").write_text(
+            "import sys\n\ndef run():\n    from . import graph\n    assert sys.argv[1:] == "
+            "['classify', 'A[P]', 'O[P]']\n"
+        )
+        (package / "graph.py").write_text("x = 1\n")
+        (package / "segment.py").write_text("never loaded\n" * 50)
+        assert bench_pairs.classify_path_lines(tmp_path) == 0 + 3 + 5 + 1
