@@ -31,30 +31,30 @@ _EXPORTS = {
     "make_categorical": "formula",
     "print_sentence": "formula",
     "sentence_predicates": "formula",
+    "A_HIGH": "formula",
+    "A_LOW": "formula",
     "Corpus": "parser",
     "ParseError": "parser",
     "parse_corpus": "parser",
     "parse_sentence": "parser",
-    "CONTRADICTORY": "graph",
-    "CONTRARY": "graph",
-    "SUBCONTRARY": "graph",
-    "UNCONNECTED": "graph",
-    "OppositionGraph": "graph",
-    "Relation": "graph",
-    "RelationKind": "graph",
-    "from_structured": "graph",
-    "graph_equal": "graph",
-    "render_segment": "graph",
-    "subaltern": "graph",
-    "to_dot": "graph",
-    "to_structured": "graph",
+    "CONTRADICTORY": "semantics",
+    "CONTRARY": "semantics",
+    "SUBCONTRARY": "semantics",
+    "UNCONNECTED": "semantics",
     "Evidence": "semantics",
+    "Relation": "semantics",
+    "RelationKind": "semantics",
     "VocabularyMismatchError": "semantics",
     "build_graph": "semantics",
     "classification_evidence": "semantics",
     "classify": "semantics",
-    "A_HIGH": "graph",
-    "A_LOW": "graph",
+    "subaltern": "semantics",
+    "OppositionGraph": "graph",
+    "from_structured": "graph",
+    "graph_equal": "graph",
+    "render_segment": "graph",
+    "to_dot": "graph",
+    "to_structured": "graph",
     "AssignmentError": "segment",
     "ClauseSystem": "segment",
     "Role": "segment",

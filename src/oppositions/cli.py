@@ -10,10 +10,10 @@ and ``main`` read it.  The argument parser, the library and the input
 readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
 its exit code.
 
-Each subcommand imports only the modules it runs: ``encode`` and
-``synthesize`` import ``segment``, and structured output imports
-``document``, so ``classify`` and ``graph`` in text or DOT compile
-neither.  No command imports ``json``, ``argparse`` (with ``gettext`` and
+Each subcommand imports only the modules it runs: ``graph``, ``encode``
+and ``synthesize`` import ``graph``, the last two ``segment``, and
+structured output ``document``, so ``classify`` compiles none of them.
+No command imports ``json``, ``argparse`` (with ``gettext`` and
 ``locale``) or ``dataclasses``: records derive from ``formula.Record``.
 
 Exit codes: 0 success, or ``-h`` anywhere; 1 synthesis found nothing (a
@@ -32,9 +32,10 @@ device or closed before start (``>&-``), with one ``error:`` line; 141
 and payload, and ``main`` writes the payload once, so stdout carries a
 payload only after the command has succeeded (exits 0, 1 and 5);
 ``_write_stdout`` alone maps a failed write or flush of stdout.
-Diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``;
-one that cannot be written, on a full device or a closed stderr say, is
-dropped, and the exit code stays the same.
+Diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``,
+each one line of at most ``MAX_LINE`` characters; one that cannot be
+written, on a full device or a closed stderr say, is dropped, and the
+exit code stays the same.
 
 ``main`` returns its exit code and never ends the process, so tests and
 benchmarks call it in-process.  ``run`` is the one way in for
@@ -52,16 +53,7 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .formula import Sentence
-from .graph import (
-    A_LOW,
-    OppositionGraph,
-    UNIVERSAL_MAPS,
-    envelope,
-    render_segment,
-    to_dot,
-    to_structured,
-)
+from .formula import A_LOW, UNIVERSAL_MAPS, Sentence
 from .parser import Corpus, ParseError, parse_corpus, parse_sentence
 from .semantics import VocabularyMismatchError, build_graph, classify, exact_bound
 
@@ -74,6 +66,7 @@ EXIT_MISMATCH = 5
 EXIT_INTERNAL = 70
 EXIT_IOERR = 74
 EXIT_BROKEN_PIPE = 141
+MAX_LINE = 1000  # characters of a stderr line; a refusal can quote a whole operand
 
 
 def _read_corpus(path: str) -> Corpus:
@@ -101,7 +94,10 @@ def _parse_sentence_arg(text: str, position: str) -> Sentence:
 
 
 def _say(line: str, code: int) -> int:
-    """Write one line to stderr, or drop it if stderr fails; return the code."""
+    """Write one line to stderr, a longer one than ``MAX_LINE`` as its head
+    and tail around ``…``, or drop it if stderr fails; return the code."""
+    if len(line) > MAX_LINE:
+        line = line[: MAX_LINE // 2 - 1] + "…" + line[-(MAX_LINE // 2) :]
     try:
         if sys.stderr is not None:  # None when fd 2 was closed before start
             print(line, file=sys.stderr, flush=True)
@@ -130,6 +126,8 @@ def _cmd_classify(args: SimpleNamespace) -> tuple[int, str]:
 
 
 def _cmd_graph(args: SimpleNamespace) -> tuple[int, str]:
+    from .graph import to_dot, to_structured
+
     graph = _corpus_graph(_read_corpus(args.corpus), args.bound)
     if args.format == "structured":
         return EXIT_OK, to_structured(graph)
@@ -140,6 +138,7 @@ def _cmd_graph(args: SimpleNamespace) -> tuple[int, str]:
 
 def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
     from . import segment
+    from .graph import envelope, render_segment, to_dot
 
     corpus = _read_corpus(args.corpus)
     assignment = segment.corpus_assignment(corpus, args.q, args.r, args.universal_map)
@@ -171,6 +170,7 @@ def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
 
 def _cmd_synthesize(args: SimpleNamespace) -> tuple[int, str]:
     from . import segment
+    from .graph import envelope
 
     corpus = _read_corpus(args.corpus)
     roles = segment.corpus_roles(corpus)

@@ -22,6 +22,11 @@ UNIVERSAL_ONLY = "universal-only"
 EXISTENTIAL_ONLY = "existential-only"
 REPRESENTATIONS = (MIXED, UNIVERSAL_ONLY, EXISTENTIAL_ONLY)
 
+# Which universal label takes the smaller magnitude on a segment.
+A_LOW = "a-low"
+A_HIGH = "a-high"
+UNIVERSAL_MAPS = (A_LOW, A_HIGH)
+
 
 class _LazyFields:
     """A record class's ``__dataclass_fields__``, built on first access and

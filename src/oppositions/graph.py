@@ -3,23 +3,20 @@
 An opposition graph is a complete relation-labelled graph: every
 unordered pair of distinct nodes carries exactly one relation.
 Emitters produce canonical JSON (schema_version 1), DOT text, and an
-ASCII rendering of integer segment assignments.
+ASCII rendering of integer segment assignments.  The relations
+themselves, ``Relation`` and ``RelationKind``, are defined in
+``semantics``, the oracle that produces them, so that ``classify``,
+which prints one relation and builds no graph, never loads this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from enum import Enum
 from itertools import combinations
 
-from .formula import Record
+from .semantics import Relation, RelationKind
 
 SCHEMA_VERSION = 1
-
-# Which universal label takes the smaller magnitude on a segment.
-A_LOW = "a-low"
-A_HIGH = "a-high"
-UNIVERSAL_MAPS = (A_LOW, A_HIGH)
 
 # The widest number line render_segment draws; each column costs about
 # twenty bytes while it is built, so a span of 10^9 would need 80 GB.
@@ -29,15 +26,6 @@ MAX_SEGMENT_COLUMNS = 100_000
 def envelope(kind: str, **fields: object) -> dict[str, object]:
     """A structured document: ``schema_version`` and ``kind``, then ``fields`` in order."""
     return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
-
-
-class RelationKind(Enum):
-    CONTRADICTORY = "contradictory"
-    CONTRARY = "contrary"
-    SUBCONTRARY = "subcontrary"
-    SUBALTERN = "subaltern"
-    EQUIVALENT = "equivalent"
-    UNCONNECTED = "unconnected"
 
 
 # DOT edge label and attributes: subalternation is the only arrowed relation.
@@ -51,50 +39,12 @@ _DOT = {
 }
 
 
-class Relation(Record):
-    """One opposition relation; subalternation carries a direction."""
-
-    __slots__ = ("kind", "source", "target")
-    _defaults = {"source": None, "target": None}
-    kind: RelationKind
-    source: str | None
-    target: str | None
-
-    def __post_init__(self) -> None:
-        directed = self.kind is RelationKind.SUBALTERN
-        if directed and (self.source is None or self.target is None):
-            raise ValueError("subaltern relations need a source and a target")
-        if not directed and (self.source is not None or self.target is not None):
-            raise ValueError(f"{self.kind.value} relations are undirected")
-
-    def text(self) -> str:
-        if self.kind is RelationKind.SUBALTERN:
-            return f"subaltern({self.source}->{self.target})"
-        return self.kind.value
-
-    def entry(self) -> dict[str, str]:
-        """The relation's fields in structured documents."""
-        entry = {"relation": self.kind.value}
-        if self.kind is RelationKind.SUBALTERN:
-            entry["from"] = self.source
-            entry["to"] = self.target
-        return entry
-
-
-CONTRADICTORY = Relation(RelationKind.CONTRADICTORY)
-CONTRARY = Relation(RelationKind.CONTRARY)
-SUBCONTRARY = Relation(RelationKind.SUBCONTRARY)
-EQUIVALENT = Relation(RelationKind.EQUIVALENT)
-UNCONNECTED = Relation(RelationKind.UNCONNECTED)
-
-
-def subaltern(source: str, target: str) -> Relation:
-    """Subalternation directed from superaltern to subaltern."""
-    return Relation(RelationKind.SUBALTERN, source, target)
-
-
 class OppositionGraph:
-    """Complete relation-labelled graph over an ordered node set."""
+    """Complete relation-labelled graph over an ordered node set.
+
+    No label may hold a surrogate code point: UTF-8 cannot carry one, and
+    the structured form's ``\\ud800\\udc00`` reads back as U+10000.
+    """
 
     def __init__(self, nodes: tuple[str, ...], edges: Mapping[frozenset, Relation]):
         nodes = tuple(nodes)
@@ -102,6 +52,8 @@ class OppositionGraph:
             raise ValueError("node labels must be unique")
         if len(nodes) < 2:
             raise ValueError("an opposition graph needs at least two nodes")
+        if any(isinstance(n, str) and any("\ud800" <= c <= "\udfff" for c in n) for n in nodes):
+            raise ValueError("a node label holds a surrogate code point, which UTF-8 cannot carry")
         edges = dict(edges)
         expected = {frozenset(pair) for pair in combinations(nodes, 2)}
         if set(edges) != expected:
@@ -182,7 +134,8 @@ def from_structured(text: str) -> OppositionGraph:
 
     It accepts exactly what the writer writes, in any JSON layout: the
     graph built from ``nodes`` and ``pairs`` must write the document back,
-    with string nodes and an ``int`` schema_version (``True == 1``).
+    with string nodes and an ``int`` schema_version (``True == 1``).  A
+    refusal quotes at most 200 characters of its cause.
     """
     import json
     try:
@@ -190,8 +143,11 @@ def from_structured(text: str) -> OppositionGraph:
         edges = {frozenset((e["a"], e["b"])): _entry_relation(e) for e in document["pairs"]}
         graph = OppositionGraph(tuple(document["nodes"]), edges)
         written = graph.to_document() == document and type(document["schema_version"]) is int
-    except (KeyError, TypeError, RecursionError) as err:
-        raise ValueError(f"not an opposition graph document: {err!r}") from None
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
+        found = repr(err)  # an Enum's refusal, say, repeats the whole value
+        if len(found) > 200:
+            found = found[:149] + "…" + found[-50:]
+        raise ValueError(f"not an opposition graph document: {found}") from None
     if not written or not all(isinstance(node, str) for node in graph.nodes):
         raise ValueError(f"not a schema_version {SCHEMA_VERSION} graph as to_structured writes it")
     return graph

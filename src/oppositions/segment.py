@@ -29,20 +29,11 @@ from enum import Enum
 from itertools import combinations, permutations
 from math import comb
 
-from .formula import FORALL, REPRESENTATIONS, Sentence, And, Not, Or, Quantified
-from .formula import Record, make_categorical
-from .graph import (
-    A_LOW,
-    CONTRADICTORY,
-    CONTRARY,
-    SUBCONTRARY,
-    OppositionGraph,
-    Relation,
-    UNIVERSAL_MAPS,
-    envelope,
-    subaltern,
-)
+from .formula import A_LOW, FORALL, REPRESENTATIONS, UNIVERSAL_MAPS, Sentence, And, Not, Or
+from .formula import Quantified, Record, make_categorical
+from .graph import OppositionGraph, envelope
 from .parser import Corpus
+from .semantics import CONTRADICTORY, CONTRARY, SUBCONTRARY, Relation, subaltern
 
 
 class Role(Enum):

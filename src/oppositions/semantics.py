@@ -9,22 +9,76 @@ are nonempty and at most n of them hit every true leaf (Behmann 1922,
 made tight); these are the bitstrings of Smessaert & Demey (2014).  Each
 sentence compiles to a mask with one bit per vector; a pair is classified
 by bitwise algebra on two masks.  Domains are nonempty throughout.
+
+The relation types live here, with the oracle that produces them, and
+``graph`` imports them; so ``classify`` compiles no graph code, and only
+``build_graph`` imports ``graph``, when it builds one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from enum import Enum
 from itertools import combinations
 
 from .formula import FORALL, Atom, Sentence, And, Implies, Not, Or, Quantified, Record
 from .formula import Vocabulary, sentence_predicates
-from .graph import CONTRADICTORY, CONTRARY, EQUIVALENT, SUBCONTRARY, UNCONNECTED
-from .graph import OppositionGraph, Relation, subaltern
 from .parser import Corpus
 
 # The most vector-cell pairs decided; k <= 4 never reaches it (a vector is fixed by
 # its set of inhabited cells, so 16 cells give at most 2^16 - 1 vectors).
 _LIMIT = 1 << 24
+
+
+class RelationKind(Enum):
+    CONTRADICTORY = "contradictory"
+    CONTRARY = "contrary"
+    SUBCONTRARY = "subcontrary"
+    SUBALTERN = "subaltern"
+    EQUIVALENT = "equivalent"
+    UNCONNECTED = "unconnected"
+
+
+class Relation(Record):
+    """One opposition relation; subalternation carries a direction."""
+
+    __slots__ = ("kind", "source", "target")
+    _defaults = {"source": None, "target": None}
+    kind: RelationKind
+    source: str | None
+    target: str | None
+
+    def __post_init__(self) -> None:
+        directed = self.kind is RelationKind.SUBALTERN
+        if directed and (self.source is None or self.target is None):
+            raise ValueError("subaltern relations need a source and a target")
+        if not directed and (self.source is not None or self.target is not None):
+            raise ValueError(f"{self.kind.value} relations are undirected")
+
+    def text(self) -> str:
+        if self.kind is RelationKind.SUBALTERN:
+            return f"subaltern({self.source}->{self.target})"
+        return self.kind.value
+
+    def entry(self) -> dict[str, str]:
+        """The relation's fields in structured documents."""
+        entry = {"relation": self.kind.value}
+        if self.kind is RelationKind.SUBALTERN:
+            entry["from"] = self.source
+            entry["to"] = self.target
+        return entry
+
+
+CONTRADICTORY = Relation(RelationKind.CONTRADICTORY)
+CONTRARY = Relation(RelationKind.CONTRARY)
+SUBCONTRARY = Relation(RelationKind.SUBCONTRARY)
+EQUIVALENT = Relation(RelationKind.EQUIVALENT)
+UNCONNECTED = Relation(RelationKind.UNCONNECTED)
+
+
+def subaltern(source: str, target: str) -> Relation:
+    """Subalternation directed from superaltern to subaltern."""
+    return Relation(RelationKind.SUBALTERN, source, target)
 
 
 class VocabularyMismatchError(ValueError):
@@ -221,6 +275,7 @@ def build_graph(corpus: Corpus, max_size: int | None = None) -> OppositionGraph:
 
     The corpus compiles once; a pair then costs one bitwise step.
     """
+    from .graph import OppositionGraph
     if len(corpus) < 2:
         raise ValueError("a corpus needs at least two entries to build a graph")
     vectors = _Vectors(corpus.vocabulary, (s for _, s in corpus.entries), max_size)

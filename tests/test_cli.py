@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oppositions
 from oppositions import cli, print_sentence
 from oppositions.cli import main
-from oppositions.graph import A_LOW, UNIVERSAL_MAPS
+from oppositions.formula import A_LOW, UNIVERSAL_MAPS
 from conftest import HEXAGON_CORPUS, SQUARE_CORPUS, sentence_strategy
 
 
@@ -535,6 +535,38 @@ class TestBoundErrors:
         assert done.stderr.startswith("error: ") and "invalid label" in done.stderr
 
 
+LONG = "L" * 100_000
+
+
+class TestLongRefusals:
+    # each refusal quotes its 100,000-character operand, so only the cap bounds it
+    @pytest.mark.parametrize(
+        "corpus,argv,code",
+        [
+            (f"{LONG}: A[P]\n{LONG}: I[P]", ("graph",), 2),
+            (f"a: A[P]\n{LONG} {LONG}: I[P]", ("graph",), 2),
+            (None, ("classify", f"A[P] {LONG}", "O[P]"), 2),
+            (None, ("classify", "A[P]", f"O[{LONG}]"), 3),
+            (f"A: A[P]\nE: E[P]\nI: I[P]\n{LONG}: O[P]", ("encode",), 4),
+        ],
+        ids=["duplicate-label", "invalid-label", "trailing-input", "vocabulary-mismatch",
+             "shape-error"],
+    )
+    def test_one_line_within_the_cap(self, tmp_path, corpus, argv, code):
+        done = run_child(
+            tmp_path, corpus, argv, env=child_env(PYTHONIOENCODING="utf-8"), encoding="utf-8"
+        )
+        assert (done.returncode, done.stdout) == (code, "")
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and "…" in line
+        assert len(line) <= cli.MAX_LINE
+
+    def test_a_line_at_the_cap_is_kept_whole(self, capsys):
+        line = "x" * cli.MAX_LINE
+        assert cli._say(line, 7) == 7
+        assert capsys.readouterr().err == line + "\n"
+
+
 # The child runs under -S, so no module that site or a .pth file preloads
 # (typing, re and enum may be) can hide a load; it snapshots its modules
 # after start-up, so what the interpreter itself loads does not count.
@@ -548,14 +580,15 @@ print(*sorted(set(sys.modules) - bare), file=sys.stderr)
 sys.exit(code)
 """
 
+# classify prints one relation, which semantics defines, and builds no graph
 ORACLE_MODULES = {
     "oppositions",
     "oppositions.cli",
     "oppositions.formula",
-    "oppositions.graph",
     "oppositions.parser",
     "oppositions.semantics",
 }
+GRAPH_MODULES = ORACLE_MODULES | {"oppositions.graph"}
 
 
 # Records are __slots__ classes, so only field introspection imports
@@ -586,14 +619,14 @@ class TestImportContract:
     # the error rows guard main's exit-code table, which looks segment up
     # without importing it
     @pytest.mark.parametrize(
-        "corpus,argv,code",
+        "corpus,argv,code,modules",
         [
-            (None, ("classify", "A[P]", "O[P]"), 0),
-            (SQUARE_CORPUS, ("graph", "--format", "text"), 0),
-            (SQUARE_CORPUS, ("graph", "--format", "dot"), 0),
-            (SQUARE_CORPUS, ("graph", "--format", "structured"), 0),
-            (None, ("classify", "A[P", "O[P]"), 2),
-            (None, ("classify", "A[P]", "O[Q]"), 3),
+            (None, ("classify", "A[P]", "O[P]"), 0, ORACLE_MODULES),
+            (SQUARE_CORPUS, ("graph", "--format", "text"), 0, GRAPH_MODULES),
+            (SQUARE_CORPUS, ("graph", "--format", "dot"), 0, GRAPH_MODULES),
+            (SQUARE_CORPUS, ("graph", "--format", "structured"), 0, GRAPH_MODULES),
+            (None, ("classify", "A[P", "O[P]"), 2, ORACLE_MODULES),
+            (None, ("classify", "A[P]", "O[Q]"), 3, ORACLE_MODULES),
             (
                 None,
                 (
@@ -602,10 +635,11 @@ class TestImportContract:
                     "exists x. " + " & ".join(TWENTY_FIVE),
                 ),
                 2,
+                ORACLE_MODULES,
             ),
-            ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2),
-            (None, ("classify", "-h"), 0),
-            (SQUARE_CORPUS, ("graph", "--format", "svg"), 2),
+            ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2, GRAPH_MODULES),
+            (None, ("classify", "-h"), 0, ORACLE_MODULES),
+            (SQUARE_CORPUS, ("graph", "--format", "svg"), 2, ORACLE_MODULES),
         ],
         ids=[
             "classify",
@@ -620,10 +654,10 @@ class TestImportContract:
             "graph-argument-refused",
         ],
     )
-    def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, code):
+    def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, code, modules):
         loaded = loaded_modules(tmp_path, corpus, argv, code)
         writer = {"oppositions.document"} if "structured" in argv else set()
-        assert {m for m in loaded if m.startswith("oppositions")} == ORACLE_MODULES | writer
+        assert {m for m in loaded if m.startswith("oppositions")} == modules | writer
         assert not NEVER_LOADED & loaded
         assert "json" not in loaded
 

@@ -22,7 +22,7 @@ from oppositions import (
     sentence_predicates,
 )
 from oppositions.formula import EXISTENTIAL_ONLY, FORMS, MIXED, UNIVERSAL_ONLY, Sentence
-from oppositions.graph import Relation, RelationKind, subaltern
+from oppositions.semantics import Relation, RelationKind, subaltern
 from oppositions.parser import parse_corpus
 from oppositions.segment import Mismatch, Role, SegmentAssignment, VerificationReport
 from oppositions.segment import make_square_assignment

@@ -52,16 +52,23 @@ def hexagon_graph():
     return decode_graph(extend_hexagon(make_square_assignment(1, 2)), ClauseSystem.HEXAGON)
 
 
-# labels from every Unicode scalar value, so that dumps writes its escapes;
-# surrogates are left out, as a high one before a low one reads back as one
-# character
-LABELS = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=3)
+# labels from every Unicode scalar value, so that dumps writes its escapes
+SCALARS = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=["Cs"])
+SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+
+
+def has_surrogate(label):
+    return any("\ud800" <= c <= "\udfff" for c in label)
 
 
 @st.composite
-def graphs(draw):
-    """A graph of 2 to 6 labels with any relation, either way round, per pair."""
-    nodes = draw(st.lists(LABELS, min_size=2, max_size=6, unique=True))
+def graph_parts(draw):
+    """The nodes and edges of a graph of 2 to 6 labels, with any relation,
+    either way round, per pair; in half of them one label holds a surrogate."""
+    nodes = draw(st.lists(st.text(SCALARS, max_size=3), min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):
+        label = st.text(SCALARS | SURROGATES, min_size=1, max_size=3).filter(has_surrogate)
+        nodes[draw(st.integers(0, len(nodes) - 1))] = draw(label)
     edges = {}
     for pair in combinations(nodes, 2):
         kind = draw(st.sampled_from(RelationKind))
@@ -69,7 +76,7 @@ def graphs(draw):
             edges[frozenset(pair)] = subaltern(*draw(st.permutations(pair)))
         else:
             edges[frozenset(pair)] = Relation(kind)
-    return OppositionGraph(tuple(nodes), edges)
+    return tuple(nodes), edges
 
 
 def value_paths(value, path=()):
@@ -120,6 +127,12 @@ class TestGraphValidation:
     def test_subaltern_direction_must_stay_in_pair(self):
         with pytest.raises(ValueError, match="direction"):
             OppositionGraph(("A", "B"), {frozenset(("A", "B")): subaltern("A", "C")})
+
+    @pytest.mark.parametrize("label", ["\ud800\udc00", "a\udfff"], ids=["pair", "lone"])
+    def test_surrogate_label_refused(self, label):
+        # the structured form writes "\ud800\udc00" as escapes that read back as U+10000
+        with pytest.raises(ValueError, match="surrogate"):
+            OppositionGraph((label, "b"), {frozenset((label, "b")): CONTRARY})
 
     def test_duplicate_nodes(self):
         with pytest.raises(ValueError, match="unique"):
@@ -334,6 +347,15 @@ class TestStructured:
         with pytest.raises(ValueError, match="as to_structured writes it"):
             from_structured(json.dumps(document))
 
+    def test_reader_quotes_a_long_value_shortened(self):
+        # RelationKind's own refusal repeats the whole value
+        document = json.loads(to_structured(square_graph()))
+        document["pairs"][0]["relation"] = "x" * 10**6
+        with pytest.raises(ValueError, match="^not an opposition graph document: ValueError") as err:
+            from_structured(json.dumps(document))
+        assert "…" in str(err.value) and "is not a valid RelationKind" in str(err.value)
+        assert len(str(err.value)) <= len("not an opposition graph document: ") + 200
+
     def test_reader_refuses_deep_nesting_with_value_error(self):
         # json.loads raises RecursionError here on Python 3.11, which is no ValueError
         with pytest.raises(ValueError):
@@ -342,7 +364,13 @@ class TestStructured:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_reads_back_every_graph_it_writes(self, data):
-        g = data.draw(graphs())
+        nodes, edges = data.draw(graph_parts())
+        if any(has_surrogate(node) for node in nodes):
+            # "\ud800" + "\udc00" would be written as U+10000's escapes
+            with pytest.raises(ValueError, match="surrogate"):
+                OppositionGraph(nodes, edges)
+            return
+        g = OppositionGraph(nodes, edges)
         compact = json.dumps(g.to_document(), separators=(",", ":"), ensure_ascii=False)
         for text in (to_structured(g), compact):
             read = from_structured(text)

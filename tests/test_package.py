@@ -43,14 +43,23 @@ class TestExports:
             assert getattr(oppositions, module) is importlib.import_module(f"oppositions.{module}")
         assert oppositions.A_LOW is importlib.import_module("oppositions.segment").A_LOW
 
+    # in-process, collecting the test modules has imported every submodule,
+    # so each of these runs in a fresh interpreter
     def test_a_fresh_interpreter_loads_each_submodule_on_access(self):
-        # in-process, collecting the test modules has imported every submodule
-        src = str(Path(oppositions.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", FRESH_ACCESS], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src), timeout=60,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+        assert run_fresh(FRESH_ACCESS) == (0, "ok\n", "")
+
+    def test_the_relations_load_no_graph_module(self):
+        assert run_fresh(RELATIONS_WITHOUT_GRAPH) == (0, "ok\n", "")
+
+
+def run_fresh(script):
+    """Exit code, stdout and stderr of ``script`` in a fresh interpreter."""
+    src = str(Path(oppositions.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 FRESH_ACCESS = """\
@@ -59,5 +68,22 @@ import oppositions
 assert "oppositions.segment" not in sys.modules, sorted(sys.modules)
 for name in ["segment", *sorted(oppositions._SUBMODULES - {"segment"})]:
     assert getattr(oppositions, name) is sys.modules[f"oppositions.{name}"], name
+print("ok")
+"""
+
+# the relations live in semantics, which produces them, so classifying a
+# pair builds no graph and loads no graph module
+RELATIONS_WITHOUT_GRAPH = """\
+import sys
+from oppositions import classify, Relation, RelationKind, CONTRADICTORY, subaltern
+from oppositions import parse_sentence
+from oppositions.semantics import Relation as defined
+assert Relation is defined and classify(parse_sentence("A[P]"), parse_sentence("O[P]")) is CONTRADICTORY
+assert subaltern("a", "b").kind is RelationKind.SUBALTERN
+assert "oppositions.graph" not in sys.modules, sorted(sys.modules)
+from oppositions import build_graph, parse_corpus
+graph = build_graph(parse_corpus("A: A[P]\\nI: I[P]"))
+assert all(type(relation) is defined for relation in graph.edges.values())
+assert "oppositions.graph" in sys.modules
 print("ok")
 """

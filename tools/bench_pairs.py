@@ -20,7 +20,9 @@ better than the parent in the same pair), next to the bound from
 ``BENCHMARK.json``; the seconds behind ``verdict_p50_x`` and each side's
 per-layer metrics the same way, as median, quartiles and runs; the
 seeds, each side's ``src/`` line count in all and per module, the lines
-that ``classify`` loads, and the machine facts ``bench/run.py`` reports.
+that ``classify`` loads and those that the command of each workload in
+``WORKLOAD_COMMANDS`` loads, and the machine facts ``bench/run.py``
+reports.
 Children run with ``PYTHONDONTWRITEBYTECODE=1``, so every CLI call
 compiles what it imports.
 """
@@ -68,17 +70,36 @@ def module_lines(tree: Path) -> dict[str, int]:
     return {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
 
 
-def classify_path_lines(tree: Path) -> int:
-    """Lines of the package modules that ``python -m oppositions classify
-    'A[P]' 'O[P]'`` loads in an exported tree, ``__main__.py`` included,
-    each counted as ``module_lines`` counts it.  ``-X importtime`` names
-    every module the run imports; ``__main__`` runs without an import."""
+SQUARE = "A: A[P]\nE: E[P]\nI: I[P]\nO: O[P]\n"
+HEXAGON = SQUARE + "U: U[P]\nY: Y[P]\n"
+# the command that each workload times, as (corpus text or None, arguments);
+# which modules a command loads does not depend on its inputs' size
+WORKLOAD_COMMANDS = {
+    "classify-k3": (None, ("classify", "A[P]", "O[P]")),
+    "graph-wide": (SQUARE, ("graph", "--format", "structured")),
+    "synth-hexagon": (HEXAGON, ("synthesize", "--clauses", "hexagon", "--magnitude", "16")),
+}
+
+
+def command_path_lines(tree: Path, corpus: str | None, argv: tuple[str, ...]) -> int:
+    """Lines of the package modules that ``python -m oppositions`` loads in
+    an exported tree to run ``argv``, with ``--corpus`` holding ``corpus``
+    unless it is None; ``__main__.py`` is included, and each module is
+    counted as ``module_lines`` counts it.  ``-v`` names every module the
+    run executes; ``-X importtime`` misses one that ``importlib`` loads, as
+    the package's ``__getattr__`` loads ``segment`` for ``cli``'s ``from .
+    import segment``.  ``__main__`` runs without an import."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "oppositions", "classify", "A[P]", "O[P]"],
-        check=True, capture_output=True, text=True, cwd=tree, env=env,
-    )
-    names = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-corpus-") as tmp:
+        if corpus is not None:
+            path = Path(tmp) / "input.corpus"
+            path.write_text(corpus, encoding="utf-8")
+            argv = (*argv, "--corpus", str(path))
+        done = subprocess.run(
+            [sys.executable, "-v", "-m", "oppositions", *argv],
+            check=True, capture_output=True, text=True, cwd=tree, env=env,
+        )
+    names = {line.split("'")[1] for line in done.stderr.splitlines() if line.startswith("import '")}
     files = {"__main__.py"} | {
         ("__init__" if name == "oppositions" else name.removeprefix("oppositions.")) + ".py"
         for name in names
@@ -86,6 +107,12 @@ def classify_path_lines(tree: Path) -> int:
     }
     lines = module_lines(tree)
     return sum(lines[file] for file in files)
+
+
+def classify_path_lines(tree: Path) -> int:
+    """Lines that ``classify 'A[P]' 'O[P]'`` loads, as ``command_path_lines``
+    counts them."""
+    return command_path_lines(tree, *WORKLOAD_COMMANDS["classify-k3"])
 
 
 def order(i: int) -> tuple[str, ...]:
@@ -152,6 +179,10 @@ def main(argv=None) -> int:
         commits = {side: export(getattr(args, side), trees[side]) for side in SIDES}
         modules = {side: module_lines(trees[side]) for side in SIDES}
         classify_path = {side: classify_path_lines(trees[side]) for side in SIDES}
+        command_path = {
+            side: {w: command_path_lines(trees[side], *c) for w, c in WORKLOAD_COMMANDS.items()}
+            for side in SIDES
+        }
         report = {
             "schema_version": 1,
             "kind": "bench_pairs",
@@ -192,6 +223,7 @@ def main(argv=None) -> int:
     report["src_lines"] = {side: facts[side]["src_lines"] for side in SIDES}
     report["module_lines"] = modules
     report["classify_path_lines"] = classify_path
+    report["command_path_lines"] = command_path
     report["machine"] = {k: facts["change"][k] for k in ("nproc", "cpus_usable", "python")}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

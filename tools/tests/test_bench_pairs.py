@@ -94,3 +94,32 @@ class TestClassifyPathLines:
         (package / "graph.py").write_text("x = 1\n")
         (package / "segment.py").write_text("never loaded\n" * 50)
         assert bench_pairs.classify_path_lines(tmp_path) == 0 + 3 + 5 + 1
+
+
+class TestCommandPathLines:
+    def test_each_workload_command_with_its_corpus(self, tmp_path):
+        # as in the package, "from . import name" finds a submodule through
+        # __getattr__ and import_module, which -X importtime does not name
+        package = tmp_path / "src" / "oppositions"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            "from importlib import import_module\n\ndef __getattr__(name):\n"
+            "    return import_module(f'.{name}', __name__)\n"
+        )
+        (package / "__main__.py").write_text("from . import cli\n\ncli.run()\n")
+        (package / "cli.py").write_text(
+            "import sys\n\ndef run():\n    command, *rest = sys.argv[1:]\n"
+            "    if '--corpus' in rest:\n"
+            "        assert open(rest[rest.index('--corpus') + 1]).read().startswith('A: A[P]')\n"
+            "    if command != 'classify':\n        from . import graph\n"
+            "    if command == 'synthesize':\n        from . import segment\n"
+        )
+        (package / "graph.py").write_text("x = 1\n" * 10)
+        (package / "segment.py").write_text("y = 2\n" * 100)
+        (package / "document.py").write_text("never loaded\n" * 1000)
+        counted = {
+            workload: bench_pairs.command_path_lines(tmp_path, *command)
+            for workload, command in bench_pairs.WORKLOAD_COMMANDS.items()
+        }
+        assert counted == {"classify-k3": 4 + 3 + 10, "graph-wide": 17 + 10, "synth-hexagon": 127}
+        assert bench_pairs.classify_path_lines(tmp_path) == counted["classify-k3"]
