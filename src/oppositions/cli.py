@@ -108,7 +108,7 @@ def _say(line: str, code: int) -> int:
 
 def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
     if bound is not None and bound < (exact := exact_bound(sentences)):
-        _say(f"note: --bound {bound} is below {exact}, the least exact bound", EXIT_OK)
+        _say(f"note: --bound {bound} is below {exact}, so the answer may not be exact", EXIT_OK)
 
 
 def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:

@@ -3,12 +3,13 @@
 A *cell* is one truth assignment to the k predicates: cell c makes
 predicate j true iff bit j of c is set.  Quantifiers never nest, so a
 sentence is a boolean combination of leaves ``∃C`` (some element is in a
-cell of C), reading ``∀D`` as ``¬∃(cells − D)``.  A vector of leaf truths
-is realizable within n elements iff the cells outside every false leaf
-are nonempty and at most n of them hit every true leaf (Behmann 1922,
-made tight); these are the bitstrings of Smessaert & Demey (2014).  Each
-sentence compiles to a mask with one bit per vector; a pair is classified
-by bitwise algebra on two masks.  Domains are nonempty throughout.
+cell of C), reading ``∀D`` as ``¬∃(cells − D)``.  Cells in the same leaves
+form a class; a model's vector of leaf truths is the OR of the signatures
+(sets of leaves) of the classes it inhabits, so within n elements the
+vectors are the ORs of at most n signatures: the bitstrings of Smessaert &
+Demey (2014) over the partition the leaves induce.  Each sentence compiles
+to a mask with one bit per vector; a pair is classified by bitwise algebra
+on two masks.  Domains are nonempty throughout.
 
 The relation types live here, with the oracle that produces them, and
 ``graph`` imports them; so ``classify`` compiles no graph code, and only
@@ -17,7 +18,7 @@ The relation types live here, with the oracle that produces them, and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from itertools import combinations
 
@@ -129,46 +130,54 @@ def _compile(vocab: Vocabulary, sentences: Iterable[Sentence]) -> tuple[Callable
     return leaf, list(seen)
 
 
-def _realizable(allowed: int, true: tuple[int, ...], bound: int | None) -> bool:
-    """Whether at most ``bound`` allowed cells hit every true leaf."""
-    if not allowed or not all(c & allowed for c in true):
-        return False
-    if bound is None or bound >= len(true):
-        return True
-    # group allowed cells by the true leaves they hit; each pick hits the lowest unhit
-    groups = [allowed]
-    for c in true:
-        groups = [part for g in groups for part in (g & c, g & ~c) if part]
-    hits = [sum(1 << j for j, c in enumerate(true) if g & c) for g in groups]
-    unhit = {(1 << len(true)) - 1}
-    for _ in range(bound):
-        unhit = {u & ~h for u in unhit for h in hits if h & u & -u}
-        if 0 in unhit:
-            return True
-    return False
+def _walk(leaves: list[int], cells: int, one: bool) -> Iterator[int]:
+    """Each vector (bit i: leaf i holds) that a model realizes, or with
+    ``one`` a one-element model: the signature of a class of cells."""
+    stack = [(0, (1 << cells) - 1, (), 0)]  # next leaf, allowed cells, true leaves, their bits
+    while stack:  # a choice survives iff some cell is allowed and each true leaf meets one
+        i, allowed, true, bits = stack.pop()
+        if not allowed or not all(c & allowed for c in true):
+            continue
+        if i == len(leaves):
+            yield bits
+        else:  # a false leaf's cells are never allowed; with ``one``, only a true leaf's are
+            c = leaves[i]
+            stack.append((i + 1, allowed & ~c, true, bits))
+            stack.append((i + 1, allowed & c if one else allowed, true + (c,), bits | 1 << i))
+
+
+def _within(leaves: list[int], cells: int, max_size: int) -> Iterator[int]:
+    """Each vector realized within ``max_size`` elements: an OR of at most
+    ``max_size`` signatures, found one element more at a time."""
+    signatures = []
+    for sig in _walk(leaves, cells, True):
+        signatures.append(sig)
+        yield sig
+    seen, layer = set(signatures), signatures
+    for _ in range(max_size - 1):
+        new = []  # the vectors that need one element more than the last layer's
+        for v in layer:
+            found = {v | s for s in signatures} - seen
+            seen |= found
+            new += found
+            yield from found
+        layer = new
 
 
 class _Vectors:
-    """The leaf vectors realizable in models of at most ``max_size`` elements."""
+    """The leaf vectors realizable in models of at most ``max_size`` elements;
+    one element per true leaf is enough, so only a bound below the leaves cuts."""
 
     def __init__(self, vocab: Vocabulary, sentences: Iterable[Sentence], max_size: int | None):
         if max_size is not None and max_size < 1:
             raise ValueError("max_size must be at least 1")
         self._leaf, leaves = _compile(vocab, sentences)
         cells, count = 1 << len(vocab), 0
+        cut = max_size is not None and max_size < len(leaves)
         digits = [bytearray() for _ in leaves]  # per leaf, a '0' or '1' per vector
-        # set leaves true or false in turn; each surviving choice extends to a vector
-        stack = [(0, (1 << cells) - 1, (), 0)]  # next leaf, allowed cells, true leaves, their bits
-        while stack:
-            i, allowed, true, bits = stack.pop()
-            if not _realizable(allowed, true, max_size):
-                continue
-            if i < len(leaves):
-                stack.append((i + 1, allowed & ~leaves[i], true, bits))
-                stack.append((i + 1, allowed, true + (leaves[i],), bits | 1 << i))
-                continue
+        for bits in _within(leaves, cells, max_size) if cut else _walk(leaves, cells, False):
             count += 1
-            if count * cells > _LIMIT:
+            if count * cells > _LIMIT:  # under a bound, each class alone realizes a vector
                 raise ValueError(f"{len(vocab)} predicates give {count:,} or more leaf vectors "
                                  f"over {cells:,} cells, past the oracle's limit of {_LIMIT:,}")
             for j, d in enumerate(digits):
@@ -229,7 +238,7 @@ def classification_evidence(
 
 
 def exact_bound(sentences: list[Sentence]) -> int:
-    """The least bound at which every answer over the sentences is exact."""
+    """A bound from which every answer over the sentences is exact; a smaller one may be too."""
     vocab = Vocabulary(sentence_predicates(*sentences))
     return min(1 << len(vocab), len(_compile(vocab, sentences)[1]))
 

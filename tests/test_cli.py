@@ -93,7 +93,8 @@ class TestClassify:
 
 
 class TestCutShortNote:
-    """A bound below min(2^k, distinct leaves) is labelled on stderr only."""
+    """A bound below min(2^k, distinct leaves), where an answer may not be exact,
+    is labelled on stderr only."""
 
     def test_contrary_pair_at_bound_one(self, capsys):
         # both are false only in a model with two elements

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from collections import Counter
 import tracemalloc
 from dataclasses import dataclass
@@ -36,7 +37,8 @@ from oppositions import (
     subaltern,
 )
 from oppositions.formula import FORMS
-from oppositions.semantics import _compile, _relation
+from oppositions import semantics
+from oppositions.semantics import _compile, _relation, exact_bound
 from conftest import sentence_strategy
 
 VP = Vocabulary.of("P")
@@ -206,6 +208,74 @@ def frozen_patterns(vocab, max_size):
 def pattern_evidence(a, b, max_size, vocab):
     patterns = frozen_patterns(vocab, max_size)
     return patterns.evidence(patterns.truth(a), patterns.truth(b))
+
+
+# --- the leaf-vector walk the class-signature closure replaced ------------
+# Frozen here as a third differential reference, one that reaches k = 5:
+# every node of a bounded walk runs a fresh cover search over groups of the
+# allowed cells.  It reads leaves through the live ``_compile``, which the
+# enumerator and the pattern table check.
+
+
+def _frozen_realizable(allowed, true, bound):
+    """Whether at most ``bound`` allowed cells hit every true leaf."""
+    if not allowed or not all(c & allowed for c in true):
+        return False
+    if bound is None or bound >= len(true):
+        return True
+    # group allowed cells by the true leaves they hit; each pick hits the lowest unhit
+    groups = [allowed]
+    for c in true:
+        groups = [part for g in groups for part in (g & c, g & ~c) if part]
+    hits = [sum(1 << j for j, c in enumerate(true) if g & c) for g in groups]
+    unhit = {(1 << len(true)) - 1}
+    for _ in range(bound):
+        unhit = {u & ~h for u in unhit for h in hits if h & u & -u}
+        if 0 in unhit:
+            return True
+    return False
+
+
+class FrozenWalk:
+    """The leaf vectors the walk kept within ``max_size`` elements."""
+
+    def __init__(self, vocab, sentences, max_size):
+        self._leaf, leaves = _compile(vocab, sentences)
+        cells, count = 1 << len(vocab), 0
+        digits = [bytearray() for _ in leaves]
+        stack = [(0, (1 << cells) - 1, (), 0)]  # next leaf, allowed cells, true leaves, their bits
+        while stack:
+            i, allowed, true, bits = stack.pop()
+            if not _frozen_realizable(allowed, true, max_size):
+                continue
+            if i < len(leaves):
+                stack.append((i + 1, allowed & ~leaves[i], true, bits))
+                stack.append((i + 1, allowed, true + (leaves[i],), bits | 1 << i))
+                continue
+            count += 1
+            for j, d in enumerate(digits):
+                d.append(48 | bits >> j & 1)
+        self.all = (1 << count) - 1
+        self._masks = {}
+        for c, d in zip(leaves, digits):
+            self._masks[c, False] = mask = int(d, 2)
+            self._masks[c, True] = self.all ^ mask
+
+    def truth(self, s):
+        return _frozen_fold(s, lambda q: self._masks[self._leaf(q)], self.all)
+
+    def evidence(self, ta, tb):
+        return Evidence(ta & tb != 0, ta | tb != self.all, ta & ~tb == 0, tb & ~ta == 0)
+
+
+def walk_evidence(a, b, max_size, vocab):
+    walk = FrozenWalk(vocab, (a, b), max_size)
+    return walk.evidence(walk.truth(a), walk.truth(b))
+
+
+def cell_matrix(cell, predicates):
+    """The matrix that holds of exactly one cell: bit j of it sets predicate j."""
+    return " & ".join(f"{'' if cell >> j & 1 else '~'}{p}(x)" for j, p in enumerate(predicates))
 
 
 class TestEnumeration:
@@ -523,6 +593,123 @@ class TestAgainstFrozenPatterns:
             assert graph.relation(la, lb) == expected
 
 
+class TestAgainstFrozenWalk:
+    """The class-signature oracle answers exactly as the walk it replaced,
+    at every bound up to 2^k and with none, and at k = 5, which the pattern
+    table cannot reach."""
+
+    @staticmethod
+    def check(a, b, vocab, bounds):
+        for bound in bounds:
+            assert classification_evidence(a, b, bound, vocab) == walk_evidence(
+                a, b, bound, vocab
+            ), bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((("P",), ("P", "Q"), ("P", "Q", "R"))).flatmap(
+            lambda names: st.tuples(
+                st.just(Vocabulary(names)), sentence_strategy(names), sentence_strategy(names)
+            )
+        )
+    )
+    def test_pairs(self, drawn):
+        vocab, a, b = drawn
+        self.check(a, b, vocab, [*range(1, (1 << len(vocab)) + 1), None])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from((("P",), ("P", "Q"), ("P", "Q", "R"))).flatmap(
+            lambda names: st.tuples(
+                st.just(Vocabulary(names)),
+                st.lists(sentence_strategy(names), min_size=2, max_size=5),
+            )
+        )
+    )
+    def test_corpora(self, drawn):
+        vocab, sentences = drawn
+        labels = [f"s{i}" for i in range(len(sentences))]
+        corpus = Corpus(tuple(zip(labels, sentences)), vocab)
+        for bound in [*range(1, (1 << len(vocab)) + 1), None]:
+            graph = build_graph(corpus, bound)
+            walk = FrozenWalk(vocab, sentences, bound)
+            truths = [walk.truth(s) for s in sentences]
+            for (i, ta), (j, tb) in itertools.combinations(enumerate(truths), 2):
+                expected = _relation(walk.evidence(ta, tb), (labels[i], labels[j]))
+                assert graph.relation(labels[i], labels[j]) == expected, bound
+
+    FIVE = ("P", "Q", "R", "S", "T")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_five_predicates(self, seed):
+        # 6 to 8 leaves, each some element in one of 1 to 3 named cells, split
+        # between a conjunction and a disjunction
+        rng = random.Random(seed)
+        leaves = [
+            "(exists x. " + " | ".join(
+                f"({cell_matrix(c, self.FIVE)})" for c in rng.sample(range(32), rng.randint(1, 3))
+            ) + ")"
+            for _ in range(rng.randint(6, 8))
+        ]
+        half = rng.randint(1, len(leaves) - 1)
+        a, b = sent(" & ".join(leaves[:half])), sent(" | ".join(leaves[half:]))
+        self.check(a, b, Vocabulary(self.FIVE), [*range(1, 7), None])
+
+
+class TestBoundedClosure:
+    """Within n elements the vectors are the ORs of at most n class
+    signatures: grown one element at a time from the newest layer only."""
+
+    THREE = ("P", "Q", "R")
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_element_per_single_cell_leaf(self, n):
+        # a inhabits n + 1 named cells, so it holds first with n + 1 elements;
+        # a layer that ORs more than one signature onto the last one, or stops
+        # one short or one long, moves that threshold
+        a = sent(" & ".join(f"(exists x. {cell_matrix(c, self.THREE)})" for c in range(n + 1)))
+        b, vocab = sent("exists x. P(x)"), Vocabulary(self.THREE)
+        for bound in range(1, 9):
+            assert classification_evidence(a, b, bound, vocab) == pattern_evidence(
+                a, b, bound, vocab
+            ), bound
+
+    def test_a_cut_bound_walks_only_the_classes(self, monkeypatch):
+        # 14 single-cell leaves over 32 cells: with no bound the walk yields
+        # 2^14 + 2^7 vectors; within 2 elements the closure needs only the 16
+        # classes, where keeping the walk's vectors would cost 2^k-fold more
+        # as the leaves grow (2^32 nodes at 32 leaves)
+        walked = []
+
+        def counting(leaves, cells, one):
+            for bits in walk(leaves, cells, one):
+                walked.append(one)
+                yield bits
+
+        walk = semantics._walk
+        monkeypatch.setattr(semantics, "_walk", counting)
+        five = TestAgainstFrozenWalk.FIVE
+        a = sent(" & ".join(f"(exists x. {cell_matrix(c, five)})" for c in range(14)))
+        b, vocab = sent("exists x. P(x)"), Vocabulary(five)
+        # within 2 elements a never holds; with 14, its cell 1 makes b hold
+        assert classify(a, b, 2, vocab).kind is RelationKind.CONTRARY
+        # the 14 single cells, and the other 18 split by P
+        assert walked == [True] * 16
+        walked.clear()
+        assert classify(a, b, None, vocab) == subaltern("a", "b")
+        assert len(walked) == (1 << 14) + (1 << 7) and not any(walked)
+
+    def test_the_exact_bound_is_not_always_the_least(self):
+        # four leaves, so answers are exact from bound 4; but one element in
+        # P & ~Q and one in P & Q already make every leaf true, so a third
+        # element adds no vector
+        a = sent("(exists x. P(x)) & (exists x. Q(x)) & (exists x. P(x) & Q(x))")
+        b = sent("exists x. P(x) & ~Q(x)")
+        assert exact_bound([a, b]) == 4
+        for bound in (2, 3, 4):
+            assert classification_evidence(a, b, bound) == classification_evidence(a, b)
+
+
 class TestDefaultBoundExact:
     """Default-bound answers at k = 3, 4, 5 and 8, derived by hand."""
 
@@ -636,6 +823,23 @@ class TestPatternLimit:
             tracemalloc.stop()
         assert "\n" not in str(info.value)
         assert peak < 100_000
+
+    def test_bounded_refused_before_allocating(self):
+        # sixteen free leaves split the 65,536 cells into as many classes, and
+        # each class is a vector of its own even at bound 1: refused at the
+        # 257th class found, before the other cells are ever split apart
+        a = sent(" & ".join(f"(exists x. P{i}(x))" for i in range(16)))
+        b = sent("exists x. " + " & ".join(f"P{i}(x)" for i in range(16)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="16 predicates give 257 or more leaf vectors "
+                               "over 65,536 cells, past") as info:
+                classify(a, b, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "\n" not in str(info.value)
+        assert peak < 1_000_000
 
     def test_five_predicates_at_the_default_bound(self):
         # 2^32 - 1 inhabited-cell patterns over 32 cells, but one leaf and two vectors

@@ -21,8 +21,9 @@ better than the parent in the same pair), next to the bound from
 per-layer metrics the same way, as median, quartiles and runs; the
 seeds, each side's ``src/`` line count in all and per module, the lines
 that ``classify`` loads and those that the command of each workload in
-``WORKLOAD_COMMANDS`` loads, and the machine facts ``bench/run.py``
-reports.
+``WORKLOAD_COMMANDS`` loads, each side's in-process oracle seconds on
+seeded inputs no workload reaches (``oracle_s``), and the machine facts
+``bench/run.py`` reports.
 Children run with ``PYTHONDONTWRITEBYTECODE=1``, so every CLI call
 compiles what it imports.
 """
@@ -33,6 +34,7 @@ import argparse
 import io
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -115,6 +117,94 @@ def classify_path_lines(tree: Path) -> int:
     return command_path_lines(tree, *WORKLOAD_COMMANDS["classify-k3"])
 
 
+def oracle_corpus(seed: int = 1, sentences: int = 60, leaves: int = 3) -> str:
+    """A seeded k = 4 corpus: each sentence joins ``leaves`` leaves by & or |,
+    each leaf is forall or exists of a matrix up to 3 deep over P, Q, R and
+    S, and 30% of atoms, subformulas and joins are negated."""
+    rng = random.Random(seed)
+
+    def matrix(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            text = f"{rng.choice('PQRS')}(x)"
+        else:
+            text = f"({matrix(depth - 1)} {rng.choice(('&', '|', '->'))} {matrix(depth - 1)})"
+        return f"~{text}" if rng.random() < 0.3 else text
+
+    def leaf() -> str:
+        return f"({rng.choice(('forall', 'exists'))} x. {matrix(3)})"
+
+    lines = []
+    for i in range(sentences):
+        text = leaf()
+        for _ in range(leaves - 1):
+            text = f"({text} {rng.choice('&|')} {leaf()})"
+            if rng.random() < 0.3:
+                text = f"~{text}"
+        lines.append(f"s{i}: {text}\n")
+    return "".join(lines)
+
+
+def wide_pair(seed: int = 1, leaves: int = 16, predicates: int = 5) -> tuple[str, str]:
+    """A seeded pair with ``leaves`` distinct leaves over P0, P1, ...: each says
+    that some element lies in one of three named cells; the first half are
+    joined by & into one sentence and the rest by | into the other."""
+    rng = random.Random(seed)
+    names = [f"P{j}" for j in range(predicates)]
+    chosen = set()
+    while len(chosen) < leaves:
+        chosen.add(tuple(sorted(rng.sample(range(1 << predicates), 3))))
+
+    def cell(c: int) -> str:
+        return "(" + " & ".join(f"{'' if c >> j & 1 else '~'}{p}(x)" for j, p in enumerate(names)) + ")"
+
+    parts = [f"(exists x. {' | '.join(cell(c) for c in cells)})" for cells in sorted(chosen)]
+    return " & ".join(parts[: leaves // 2]), " | ".join(parts[leaves // 2 :])
+
+
+ORACLE_BOUNDS = (None, 2, 5, 8)  # build_graph's bounds on the 60 x 3 corpus
+ORACLE_PAIR_BOUND = 5  # classify's bound on the wide pair
+ORACLE_REPEATS = 3
+# reads the inputs as JSON on stdin; writes the best time of each call as JSON
+ORACLE_CHILD = """
+import json, sys, time
+from oppositions import build_graph, classify, parse_corpus, parse_sentence
+spec = json.load(sys.stdin)
+
+def best(call):
+    times = []
+    for _ in range(spec["repeats"]):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+corpus = parse_corpus(spec["corpus"])
+a, b = (parse_sentence(text) for text in spec["pair"])
+graph = {str(n).lower(): best(lambda: build_graph(corpus, n)) for n in spec["bounds"]}
+pair = best(lambda: classify(a, b, spec["pair_bound"]))
+json.dump({"build_graph_60x3": graph, "classify_wide_pair": pair}, sys.stdout)
+"""
+
+
+def oracle_s(tree: Path) -> dict:
+    """The oracle's in-process seconds in an exported tree, best of
+    ``ORACLE_REPEATS`` in one child: ``build_graph`` on ``oracle_corpus()``
+    at each of ``ORACLE_BOUNDS`` (keyed ``none``, ``2``, ...) and
+    ``classify`` on ``wide_pair()`` at ``ORACLE_PAIR_BOUND``.  The child
+    calls only ``parse_corpus``, ``parse_sentence``, ``build_graph`` and
+    ``classify``, so any revision of the package runs it."""
+    spec = {
+        "corpus": oracle_corpus(), "pair": wide_pair(), "bounds": ORACLE_BOUNDS,
+        "pair_bound": ORACLE_PAIR_BOUND, "repeats": ORACLE_REPEATS,
+    }
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", ORACLE_CHILD], input=json.dumps(spec),
+        check=True, capture_output=True, text=True, cwd=tree, env=env,
+    )
+    return json.loads(done.stdout)
+
+
 def order(i: int) -> tuple[str, ...]:
     """The sides of pair ``i`` in the order they run: the parent first in
     even pairs, the change first in odd ones."""
@@ -183,6 +273,7 @@ def main(argv=None) -> int:
             side: {w: command_path_lines(trees[side], *c) for w, c in WORKLOAD_COMMANDS.items()}
             for side in SIDES
         }
+        oracle = {side: oracle_s(trees[side]) for side in SIDES}
         report = {
             "schema_version": 1,
             "kind": "bench_pairs",
@@ -224,6 +315,7 @@ def main(argv=None) -> int:
     report["module_lines"] = modules
     report["classify_path_lines"] = classify_path
     report["command_path_lines"] = command_path
+    report["oracle_s"] = oracle
     report["machine"] = {k: facts["change"][k] for k in ("nproc", "cpus_usable", "python")}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

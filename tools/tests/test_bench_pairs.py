@@ -123,3 +123,51 @@ class TestCommandPathLines:
         }
         assert counted == {"classify-k3": 4 + 3 + 10, "graph-wide": 17 + 10, "synth-hexagon": 127}
         assert bench_pairs.classify_path_lines(tmp_path) == counted["classify-k3"]
+
+
+class TestOracleInputs:
+    def test_corpus_is_seeded_k4_with_three_leaves_a_line(self):
+        text = bench_pairs.oracle_corpus()
+        assert text == bench_pairs.oracle_corpus(1, 60, 3) != bench_pairs.oracle_corpus(2)
+        lines = text.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"s{i}" for i in range(60)]
+        for line in lines:
+            assert line.count("forall x.") + line.count("exists x.") == 3
+        letters = {c for c in text if c.isupper()}
+        assert letters == {"P", "Q", "R", "S"}
+
+    def test_wide_pair_splits_distinct_three_cell_leaves(self):
+        a, b = bench_pairs.wide_pair()
+        assert (a, b) == bench_pairs.wide_pair(1, 16, 5) != bench_pairs.wide_pair(2)
+        leaves = a.split(" & (exists") + b.split(" | (exists")
+        assert len(leaves) == len(set(leaves)) == 16
+        assert a.count("exists x.") == b.count("exists x.") == 8
+        for leaf in leaves:
+            assert leaf.count("P0(x)") == 3 and "P5" not in leaf
+
+
+class TestOracleS:
+    def test_one_child_times_each_call(self, tmp_path):
+        # a fake package that records each call in the tree the child runs in
+        package = tmp_path / "src" / "oppositions"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            "def log(*fields):\n"
+            "    with open('calls.txt', 'a') as f:\n"
+            "        print(*fields, file=f)\n\n"
+            "def parse_corpus(text):\n    log('corpus', len(text.splitlines()))\n    return 'c'\n\n"
+            "def parse_sentence(text):\n    log('sentence', text.count('exists'))\n    return text\n\n"
+            "def build_graph(corpus, bound):\n    log('graph', corpus, bound)\n\n"
+            "def classify(a, b, bound):\n    log('classify', bound)\n"
+        )
+        timed = bench_pairs.oracle_s(tmp_path)
+        assert list(timed) == ["build_graph_60x3", "classify_wide_pair"]
+        assert list(timed["build_graph_60x3"]) == ["none", "2", "5", "8"]
+        seconds = [*timed["build_graph_60x3"].values(), timed["classify_wide_pair"]]
+        assert all(isinstance(s, float) and s >= 0 for s in seconds)
+        calls = (tmp_path / "calls.txt").read_text().splitlines()
+        assert calls == (
+            ["corpus 60", "sentence 8", "sentence 8"]
+            + [f"graph c {n}" for n in ("None", 2, 5, 8) for _ in range(3)]
+            + ["classify 5"] * 3
+        )
