@@ -155,7 +155,8 @@ def wide_pair(seed: int = 1, leaves: int = 16, predicates: int = 5) -> tuple[str
         chosen.add(tuple(sorted(rng.sample(range(1 << predicates), 3))))
 
     def cell(c: int) -> str:
-        return "(" + " & ".join(f"{'' if c >> j & 1 else '~'}{p}(x)" for j, p in enumerate(names)) + ")"
+        literals = (f"{'' if c >> j & 1 else '~'}{p}(x)" for j, p in enumerate(names))
+        return f"({' & '.join(literals)})"
 
     parts = [f"(exists x. {' | '.join(cell(c) for c in cells)})" for cells in sorted(chosen)]
     return " & ".join(parts[: leaves // 2]), " | ".join(parts[leaves // 2 :])

@@ -155,8 +155,10 @@ class TestOracleS:
             "def log(*fields):\n"
             "    with open('calls.txt', 'a') as f:\n"
             "        print(*fields, file=f)\n\n"
-            "def parse_corpus(text):\n    log('corpus', len(text.splitlines()))\n    return 'c'\n\n"
-            "def parse_sentence(text):\n    log('sentence', text.count('exists'))\n    return text\n\n"
+            "def parse_corpus(text):\n"
+            "    log('corpus', len(text.splitlines()))\n    return 'c'\n\n"
+            "def parse_sentence(text):\n"
+            "    log('sentence', text.count('exists'))\n    return text\n\n"
             "def build_graph(corpus, bound):\n    log('graph', corpus, bound)\n\n"
             "def classify(a, b, bound):\n    log('classify', bound)\n"
         )
