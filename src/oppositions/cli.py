@@ -3,16 +3,18 @@
 Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
 ``synthesize`` every encoding of a corpus within a magnitude bound.
-This module parses arguments and prints; ``segment`` decides a corpus's
-shape, its roles and the default clauses.  One table, ``COMMANDS``, gives
-each command's positionals, flags and handler, and ``parse_args``, ``-h``
-and ``main`` read it.  The argument parser, the library and the input
-readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
-its exit code.
+This module parses arguments, runs ``classify`` and prints;
+``corpus_commands`` runs the other three, and ``segment`` decides a
+corpus's shape, its roles and the default clauses.  One table,
+``COMMANDS``, gives each command's positionals, flags and handler, and
+``parse_args``, ``-h`` and ``main`` read it.  The argument parser, the
+library and the input readers refuse with ``ValueError``, and ``main``
+alone maps a refusal to its exit code.
 
-Each subcommand imports only the modules it runs: ``graph``, ``encode``
-and ``synthesize`` import ``graph``, the last two ``segment``, and
-structured output ``document``, so ``classify`` compiles none of them.
+Each subcommand imports only the modules it runs.  ``classify`` compiles
+this module, ``formula``, ``parser`` and ``semantics``; ``graph``,
+``encode`` and ``synthesize`` also compile ``corpus_commands`` and
+``graph``, the last two ``segment``, and structured output ``document``.
 No command imports ``json``, ``argparse`` (with ``gettext`` and
 ``locale``) or ``dataclasses``: records derive from ``formula.Record``.
 
@@ -54,8 +56,8 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .formula import A_LOW, UNIVERSAL_MAPS, Sentence
-from .parser import Corpus, ParseError, parse_corpus, parse_sentence
-from .semantics import VocabularyMismatchError, build_graph, classify, exact_bound
+from .parser import ParseError, parse_sentence
+from .semantics import VocabularyMismatchError, classify, exact_bound
 
 EXIT_OK = 0
 EXIT_NO_RESULTS = 1
@@ -67,23 +69,6 @@ EXIT_INTERNAL = 70
 EXIT_IOERR = 74
 EXIT_BROKEN_PIPE = 141
 MAX_LINE = 1000  # characters of a stderr line; a refusal can quote a whole operand
-
-
-def _read_corpus(path: str) -> Corpus:
-    if path == "-" and sys.stdin is None:  # fd 0 was closed before start
-        raise ValueError("cannot read corpus: stdin is closed")
-    try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-    except (OSError, UnicodeDecodeError) as err:
-        raise ValueError(f"cannot read corpus: {err}") from None
-    try:
-        return parse_corpus(text)
-    except ParseError as err:
-        raise ValueError(f"corpus {path}: {err}") from None
 
 
 def _parse_sentence_arg(text: str, position: str) -> Sentence:
@@ -111,86 +96,12 @@ def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
         _say(f"note: --bound {bound} is below {exact}, so the answer may not be exact", EXIT_OK)
 
 
-def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
-    graph = build_graph(corpus, bound)
-    _note_if_cut_short(bound, [s for _, s in corpus.entries])
-    return graph
-
-
 def _cmd_classify(args: SimpleNamespace) -> tuple[int, str]:
     a = _parse_sentence_arg(args.a, "a")
     b = _parse_sentence_arg(args.b, "b")
     relation = classify(a, b, args.bound)
     _note_if_cut_short(args.bound, [a, b])
     return EXIT_OK, relation.text()
-
-
-def _cmd_graph(args: SimpleNamespace) -> tuple[int, str]:
-    from .graph import to_dot, to_structured
-
-    graph = _corpus_graph(_read_corpus(args.corpus), args.bound)
-    if args.format == "structured":
-        return EXIT_OK, to_structured(graph)
-    if args.format == "dot":
-        return EXIT_OK, to_dot(graph)
-    return EXIT_OK, "\n".join(f"{a} {b} {rel.text()}" for a, b, rel in graph.pairs())
-
-
-def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
-    from . import segment
-    from .graph import envelope, render_segment, to_dot
-
-    corpus = _read_corpus(args.corpus)
-    assignment = segment.corpus_assignment(corpus, args.q, args.r, args.universal_map)
-    clauses = segment.clause_system(assignment.roles, args.clauses)
-    semantic = _corpus_graph(corpus, args.bound)
-    report = segment.verify_against(assignment, clauses, semantic)
-    code = EXIT_OK if report.matches else EXIT_MISMATCH
-
-    if args.format == "structured":
-        from .document import dumps
-        return code, dumps(envelope(
-            "encoding_report",
-            clauses=clauses.value,
-            assignment=assignment.to_document(),
-            verification=report.to_document(),
-        ))
-    if args.format == "dot":
-        return code, to_dot(segment.decode_graph(assignment, clauses))
-    lines = ["assignment:"]
-    for label in assignment.labels:
-        lines.append(f"  {label} = {assignment.values[label]} ({assignment.roles[label].value})")
-    lines += ["", render_segment(assignment), ""]
-    verdict = f"{len(report.mismatches)} mismatches" if report.mismatches else "matches"
-    lines.append(f"verification: {verdict}")
-    lines += [f"  {m.a} {m.b} decoded {m.decoded.text()}, semantic {m.semantic.text()}"
-              for m in report.mismatches]
-    return code, "\n".join(lines)
-
-
-def _cmd_synthesize(args: SimpleNamespace) -> tuple[int, str]:
-    from . import segment
-    from .graph import envelope
-
-    corpus = _read_corpus(args.corpus)
-    roles = segment.corpus_roles(corpus)
-    target = _corpus_graph(corpus, args.bound)
-    clauses = segment.clause_system(roles, args.clauses)
-    magnitude = args.magnitude if args.magnitude is not None else len(corpus.labels)
-    results = segment.synthesize(target, clauses, magnitude, roles)
-    code = EXIT_OK if results else EXIT_NO_RESULTS
-
-    if args.format == "structured":
-        from .document import dumps
-        return code, dumps(envelope(
-            "synthesis_result",
-            clauses=clauses.value,
-            magnitude_bound=magnitude,
-            count=len(results),
-            assignments=[e.to_document() for e in results],
-        ))
-    lines = [" ".join(f"{label}={e.values[label]}" for label in e.labels) for e in results]
-    return code, "\n".join([*lines, f"found {len(results)}"])
 
 
 def _positive_int(text: str) -> int:
@@ -200,7 +111,9 @@ def _positive_int(text: str) -> int:
 
 
 # command -> (help, positionals, flags, handler); a flag is (name, destination,
-# converter or tuple of choices, default), and is required if its default is _REQUIRED
+# converter or tuple of choices, default), and is required if its default is
+# _REQUIRED; a corpus command's handler is None: corpus_commands defines it
+# under the command's name, and main imports that module only to run one
 _REQUIRED = object()
 _BOUND = ("--bound", "bound", _positive_int, None)
 _CORPUS = ("--corpus", "corpus", str, _REQUIRED)
@@ -209,16 +122,15 @@ _FORMAT = ("--format", "format", ("structured", "dot", "text"), "text")
 COMMANDS = {
     "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,),
                  _cmd_classify),
-    "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT),
-              _cmd_graph),
+    "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT), None),
     "encode": ("encode a categorical square or hexagon corpus on a segment", (), (
         _CORPUS, _CLAUSES, ("--q", "q", int, 1), ("--r", "r", int, 2),
         ("--map", "universal_map", UNIVERSAL_MAPS, A_LOW), _BOUND, _FORMAT,
-    ), _cmd_encode),
+    ), None),
     "synthesize": ("search for segment encodings of a corpus graph", (), (
         _CORPUS, _CLAUSES, ("--magnitude", "magnitude", _positive_int, None), _BOUND,
         ("--format", "format", ("structured", "text"), "text"),
-    ), _cmd_synthesize),
+    ), None),
 }
 _METAVARS = {str: "PATH|-", int: "INT", _positive_int: "N"}
 
@@ -279,7 +191,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, payload = EXIT_OK, usage(argv[0])
         else:
             args = parse_args(argv)
-            code, payload = COMMANDS[args.command][3](args)
+            handler = COMMANDS[args.command][3]
+            if handler is None:
+                from . import corpus_commands
+                handler = getattr(corpus_commands, args.command)
+            code, payload = handler(args)
     except ValueError as err:  # a refusal of the input, by the library or a reader
         # only encode and synthesize load segment, and only they can raise ShapeError
         shape_error = getattr(sys.modules.get(f"{__package__}.segment"), "ShapeError", ())
@@ -326,4 +242,6 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # under python -m oppositions.cli, so that corpus_commands imports this copy
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     run()

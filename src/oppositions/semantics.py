@@ -166,16 +166,19 @@ def _within(leaves: list[int], cells: int, max_size: int) -> Iterator[int]:
 
 class _Vectors:
     """The leaf vectors realizable in models of at most ``max_size`` elements;
-    one element per true leaf is enough, so only a bound below the leaves cuts."""
+    one element per true leaf is enough, so only a bound below the leaves cuts.
+    The closure of class signatures finds them under a cut or over at most 16
+    cells, where its set of vectors stays small; else the unbounded walk does."""
 
     def __init__(self, vocab: Vocabulary, sentences: Iterable[Sentence], max_size: int | None):
         if max_size is not None and max_size < 1:
             raise ValueError("max_size must be at least 1")
         self._leaf, leaves = _compile(vocab, sentences)
         cells, count = 1 << len(vocab), 0
-        cut = max_size is not None and max_size < len(leaves)
+        layers = len(leaves) if max_size is None else min(max_size, len(leaves))
+        closure = cells <= 16 or layers < len(leaves)
         digits = [bytearray() for _ in leaves]  # per leaf, a '0' or '1' per vector
-        for bits in _within(leaves, cells, max_size) if cut else _walk(leaves, cells, False):
+        for bits in _within(leaves, cells, layers) if closure else _walk(leaves, cells, False):
             count += 1
             if count * cells > _LIMIT:  # under a bound, each class alone realizes a vector
                 raise ValueError(f"{len(vocab)} predicates give {count:,} or more leaf vectors "

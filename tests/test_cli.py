@@ -589,7 +589,9 @@ ORACLE_MODULES = {
     "oppositions.parser",
     "oppositions.semantics",
 }
-GRAPH_MODULES = ORACLE_MODULES | {"oppositions.graph"}
+# the corpus commands' handlers live apart, so classify compiles none of them
+CORPUS_MODULES = ORACLE_MODULES | {"oppositions.corpus_commands"}
+GRAPH_MODULES = CORPUS_MODULES | {"oppositions.graph"}
 
 
 # Records are __slots__ classes, so only field introspection imports
@@ -664,17 +666,17 @@ class TestImportContract:
 
     def test_encode_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", "structured"))
-        assert "oppositions.segment" in loaded
+        assert CORPUS_MODULES | {"oppositions.segment"} <= loaded
         assert not NEVER_LOADED & loaded
 
     def test_encode_shape_error_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--clauses", "hexagon"), 4)
-        assert "oppositions.segment" in loaded
+        assert CORPUS_MODULES | {"oppositions.segment"} <= loaded
         assert not NEVER_LOADED & loaded
 
     def test_synthesize_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, HEXAGON_CORPUS, ("synthesize",))
-        assert "oppositions.segment" in loaded
+        assert CORPUS_MODULES | {"oppositions.segment"} <= loaded
         assert not NEVER_LOADED & loaded
 
     @pytest.mark.parametrize(
@@ -1176,6 +1178,23 @@ class TestEntryFunction:
             capture_output=True, text=True, env=buffered_env(), timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "contradictory\n", "")
+
+    def test_the_cli_module_way_in_runs_a_corpus_command_on_one_cli(self, capsys, tmp_path):
+        # cli runs as __main__ and registers itself, so corpus_commands
+        # imports that copy: no second cli is loaded and compiled
+        argv = with_corpus(tmp_path, SQUARE_CORPUS, ("graph", "--format", "text"))
+        probe = AT_EXIT + 'runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)'
+        done = subprocess.run(
+            [sys.executable, "-v", "-c", probe, "oppositions.cli", *argv],
+            capture_output=True, text=True, env=buffered_env(), timeout=60,
+        )
+        _, out, _ = run(capsys, *argv)
+        lines = done.stderr.splitlines()
+        imported = [line.split("'")[1] for line in lines if line.startswith("import '")]
+        assert (done.returncode, done.stdout) == (0, out)
+        assert "teardown" not in lines
+        assert imported.count("oppositions.corpus_commands") == 1
+        assert "oppositions.cli" not in imported
 
     def test_main_returns_and_leaves_teardown_to_the_caller(self):
         probe = AT_EXIT + "from oppositions.cli import main\nprint(main(sys.argv[1:]))"

@@ -638,6 +638,40 @@ class TestAgainstFrozenWalk:
                 expected = _relation(walk.evidence(ta, tb), (labels[i], labels[j]))
                 assert graph.relation(labels[i], labels[j]) == expected, bound
 
+    # with no bound, inputs over at most 16 cells take the closure, not the walk
+    UP_TO_FOUR = st.sampled_from((("P",), ("P", "Q"), ("P", "Q", "R"), ("P", "Q", "R", "S")))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        UP_TO_FOUR.flatmap(
+            lambda names: st.tuples(
+                st.just(Vocabulary(names)), sentence_strategy(names), sentence_strategy(names)
+            )
+        )
+    )
+    def test_unbounded_pairs_up_to_four_predicates(self, drawn):
+        vocab, a, b = drawn
+        self.check(a, b, vocab, [None])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        UP_TO_FOUR.flatmap(
+            lambda names: st.tuples(
+                st.just(Vocabulary(names)),
+                st.lists(sentence_strategy(names), min_size=2, max_size=6),
+            )
+        )
+    )
+    def test_unbounded_corpora_up_to_four_predicates(self, drawn):
+        vocab, sentences = drawn
+        labels = [f"s{i}" for i in range(len(sentences))]
+        graph = build_graph(Corpus(tuple(zip(labels, sentences)), vocab))
+        walk = FrozenWalk(vocab, sentences, None)
+        truths = [walk.truth(s) for s in sentences]
+        for (i, ta), (j, tb) in itertools.combinations(enumerate(truths), 2):
+            expected = _relation(walk.evidence(ta, tb), (labels[i], labels[j]))
+            assert graph.relation(labels[i], labels[j]) == expected
+
     FIVE = ("P", "Q", "R", "S", "T")
 
     @pytest.mark.parametrize("seed", range(12))
@@ -698,6 +732,24 @@ class TestBoundedClosure:
         walked.clear()
         assert classify(a, b, None, vocab) == subaltern("a", "b")
         assert len(walked) == (1 << 14) + (1 << 7) and not any(walked)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_no_bound_walks_every_vector_only_past_four_predicates(self, monkeypatch, k):
+        # k existential leaves and one universal: up to 16 cells the closure
+        # walks only the classes, and from 32 cells the walk yields every vector
+        walked = []
+
+        def spying(leaves, cells, one):
+            walked.append(one)
+            return walk(leaves, cells, one)
+
+        walk = semantics._walk
+        monkeypatch.setattr(semantics, "_walk", spying)
+        names = TestAgainstFrozenWalk.FIVE[:k]
+        a = sent(" & ".join(f"(exists x. {p}(x))" for p in names))
+        b = sent(f"forall x. {' | '.join(f'{p}(x)' for p in names)}")
+        assert classification_evidence(a, b) == walk_evidence(a, b, None, Vocabulary(names))
+        assert walked == ([False] if k == 5 else [True])
 
     def test_the_exact_bound_is_not_always_the_least(self):
         # four leaves, so answers are exact from bound 4; but one element in

@@ -165,25 +165,40 @@ def wide_pair(seed: int = 1, leaves: int = 16, predicates: int = 5) -> tuple[str
 ORACLE_BOUNDS = (None, 2, 5, 8)  # build_graph's bounds on the 60 x 3 corpus
 ORACLE_PAIR_BOUND = 5  # classify's bound on the wide pair
 ORACLE_REPEATS = 3
-# reads the inputs as JSON on stdin; writes the best time of each call as JSON
+ORACLE_LARGE = 120  # sentences of the corpus build_graph takes once with no bound
+# reads the inputs as JSON on stdin; writes the best time of each call, and a
+# digest of each graph built with no bound, as JSON
 ORACLE_CHILD = """
-import json, sys, time
+import hashlib, json, sys, time
 from oppositions import build_graph, classify, parse_corpus, parse_sentence
 spec = json.load(sys.stdin)
+digests = {}
 
-def best(call):
+def best(call, repeats=spec["repeats"]):
     times = []
-    for _ in range(spec["repeats"]):
+    for _ in range(repeats):
         start = time.perf_counter()
-        call()
+        result = call()
         times.append(time.perf_counter() - start)
-    return min(times)
+    return min(times), result
+
+def unbounded(key, corpus, repeats=spec["repeats"]):
+    seconds, graph = best(lambda: build_graph(corpus, None), repeats)
+    text = "\\n".join(f"{a} {b} {r.text()}" for a, b, r in graph.pairs())
+    digests[key] = hashlib.sha256(text.encode()).hexdigest()
+    return seconds
 
 corpus = parse_corpus(spec["corpus"])
 a, b = (parse_sentence(text) for text in spec["pair"])
-graph = {str(n).lower(): best(lambda: build_graph(corpus, n)) for n in spec["bounds"]}
-pair = best(lambda: classify(a, b, spec["pair_bound"]))
-json.dump({"build_graph_60x3": graph, "classify_wide_pair": pair}, sys.stdout)
+
+def at(n):
+    return unbounded("60x3", corpus) if n is None else best(lambda: build_graph(corpus, n))[0]
+
+graph = {str(n).lower(): at(n) for n in spec["bounds"]}
+pair = best(lambda: classify(a, b, spec["pair_bound"]))[0]
+large = {"none": unbounded("120x3", parse_corpus(spec["large_corpus"]), 1)}
+json.dump({"build_graph_60x3": graph, "classify_wide_pair": pair, "build_graph_120x3": large,
+           "graph_sha256": digests}, sys.stdout)
 """
 
 
@@ -191,12 +206,18 @@ def oracle_s(tree: Path) -> dict:
     """The oracle's in-process seconds in an exported tree, best of
     ``ORACLE_REPEATS`` in one child: ``build_graph`` on ``oracle_corpus()``
     at each of ``ORACLE_BOUNDS`` (keyed ``none``, ``2``, ...) and
-    ``classify`` on ``wide_pair()`` at ``ORACLE_PAIR_BOUND``.  The child
-    calls only ``parse_corpus``, ``parse_sentence``, ``build_graph`` and
-    ``classify``, so any revision of the package runs it."""
+    ``classify`` on ``wide_pair()`` at ``ORACLE_PAIR_BOUND``; then one
+    ``build_graph`` with no bound on the ``ORACLE_LARGE`` × 3 corpus of the
+    same seed (keyed ``none``), which takes seconds where the walk runs.
+    ``graph_sha256`` holds a digest of each graph built with no bound, over
+    its text lines, so two revisions' graphs can be compared.  The child
+    calls only ``parse_corpus``, ``parse_sentence``, ``build_graph``,
+    ``classify``, a graph's ``pairs`` and a relation's ``text``, so any
+    revision of the package since those two names runs it."""
     spec = {
         "corpus": oracle_corpus(), "pair": wide_pair(), "bounds": ORACLE_BOUNDS,
         "pair_bound": ORACLE_PAIR_BOUND, "repeats": ORACLE_REPEATS,
+        "large_corpus": oracle_corpus(sentences=ORACLE_LARGE),
     }
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -136,6 +137,12 @@ class TestOracleInputs:
         letters = {c for c in text if c.isupper()}
         assert letters == {"P", "Q", "R", "S"}
 
+    def test_large_corpus_extends_the_default_one(self):
+        # the same seed draws the same first 60 sentences, then 60 more
+        large = bench_pairs.oracle_corpus(sentences=bench_pairs.ORACLE_LARGE)
+        assert large.startswith(bench_pairs.oracle_corpus())
+        assert len(large.splitlines()) == 120
+
     def test_wide_pair_splits_distinct_three_cell_leaves(self):
         a, b = bench_pairs.wide_pair()
         assert (a, b) == bench_pairs.wide_pair(1, 16, 5) != bench_pairs.wide_pair(2)
@@ -159,17 +166,30 @@ class TestOracleS:
             "    log('corpus', len(text.splitlines()))\n    return 'c'\n\n"
             "def parse_sentence(text):\n"
             "    log('sentence', text.count('exists'))\n    return text\n\n"
-            "def build_graph(corpus, bound):\n    log('graph', corpus, bound)\n\n"
+            "class Relation:\n    def text(self):\n        return 'r'\n\n"
+            "class Graph:\n    def pairs(self):\n        return [('x', 'y', Relation())]\n\n"
+            "def build_graph(corpus, bound):\n    log('graph', corpus, bound)\n"
+            "    return Graph()\n\n"
             "def classify(a, b, bound):\n    log('classify', bound)\n"
         )
         timed = bench_pairs.oracle_s(tmp_path)
-        assert list(timed) == ["build_graph_60x3", "classify_wide_pair"]
+        assert list(timed) == [
+            "build_graph_60x3", "classify_wide_pair", "build_graph_120x3", "graph_sha256",
+        ]
         assert list(timed["build_graph_60x3"]) == ["none", "2", "5", "8"]
-        seconds = [*timed["build_graph_60x3"].values(), timed["classify_wide_pair"]]
+        assert list(timed["build_graph_120x3"]) == ["none"]
+        seconds = [
+            *timed["build_graph_60x3"].values(), timed["classify_wide_pair"],
+            timed["build_graph_120x3"]["none"],
+        ]
         assert all(isinstance(s, float) and s >= 0 for s in seconds)
+        # each graph built with no bound, by the digest of its text lines
+        digest = hashlib.sha256(b"x y r").hexdigest()
+        assert timed["graph_sha256"] == {"60x3": digest, "120x3": digest}
         calls = (tmp_path / "calls.txt").read_text().splitlines()
         assert calls == (
             ["corpus 60", "sentence 8", "sentence 8"]
             + [f"graph c {n}" for n in ("None", 2, 5, 8) for _ in range(3)]
             + ["classify 5"] * 3
+            + ["corpus 120", "graph c None"]  # the large corpus, timed once
         )
