@@ -165,30 +165,29 @@ def _within(leaves: list[int], cells: int, max_size: int) -> Iterator[int]:
 
 
 class _Vectors:
-    """The leaf vectors realizable in models of at most ``max_size`` elements;
-    one element per true leaf is enough, so only a bound below the leaves cuts.
-    The closure of class signatures finds them under a cut or over at most 16
-    cells, where its set of vectors stays small; else the unbounded walk does."""
+    """The leaf vectors realizable within ``max_size`` elements; only a bound below the
+    leaves cuts (``exact_bound``).  The closure of class signatures finds them under a cut or
+    over at most 16 cells, where its set of vectors stays small; else the unbounded walk does.
+    Each vector is one row of leaf digits, and each leaf's mask is read down its column."""
 
     def __init__(self, vocab: Vocabulary, sentences: Iterable[Sentence], max_size: int | None):
         if max_size is not None and max_size < 1:
             raise ValueError("max_size must be at least 1")
         self._leaf, leaves = _compile(vocab, sentences)
-        cells, count = 1 << len(vocab), 0
+        cells, count, width = 1 << len(vocab), 0, len(leaves)
         layers = len(leaves) if max_size is None else min(max_size, len(leaves))
         closure = cells <= 16 or layers < len(leaves)
-        digits = [bytearray() for _ in leaves]  # per leaf, a '0' or '1' per vector
+        rows = bytearray()  # per vector, its binary digits over the leaves, leaf 0's last
         for bits in _within(leaves, cells, layers) if closure else _walk(leaves, cells, False):
             count += 1
             if count * cells > _LIMIT:  # under a bound, each class alone realizes a vector
                 raise ValueError(f"{len(vocab)} predicates give {count:,} or more leaf vectors "
                                  f"over {cells:,} cells, past the oracle's limit of {_LIMIT:,}")
-            for j, d in enumerate(digits):
-                d.append(48 | bits >> j & 1)  # ord("0") or ord("1")
+            rows += f"{bits:0{width}b}".encode()
         self.all = (1 << count) - 1
         self._masks = {}  # over vectors, for each leaf and its negation
-        for c, d in zip(leaves, digits):
-            self._masks[c, False] = mask = int(d, 2)
+        for j, c in enumerate(leaves):
+            self._masks[c, False] = mask = int(rows[width - 1 - j :: width], 2)
             self._masks[c, True] = self.all ^ mask
 
     def truth(self, s: Sentence) -> int:
@@ -217,15 +216,12 @@ def _shared_vocabulary(a: Sentence, b: Sentence, vocab: Vocabulary | None) -> Vo
     if vocab is not None:
         missing = [p for p in preds_a + preds_b if p not in vocab]
         if missing:
-            raise VocabularyMismatchError(
-                f"predicates {sorted(set(missing))} not in the given vocabulary"
-            )
+            raise VocabularyMismatchError(f"predicates {sorted(set(missing))} not in the "
+                                          "given vocabulary")
         return vocab
     if set(preds_a) != set(preds_b):
-        raise VocabularyMismatchError(
-            "vocabulary mismatch: sentences use different predicates "
-            f"({sorted(set(preds_a))} vs {sorted(set(preds_b))})"
-        )
+        raise VocabularyMismatchError("vocabulary mismatch: sentences use different predicates "
+                                      f"({sorted(set(preds_a))} vs {sorted(set(preds_b))})")
     return Vocabulary(preds_a)
 
 
@@ -241,7 +237,11 @@ def classification_evidence(
 
 
 def exact_bound(sentences: list[Sentence]) -> int:
-    """A bound from which every answer over the sentences is exact; a smaller one may be too."""
+    """min(2^k, distinct leaves), within which every realizable leaf vector is realized, so
+    every answer from it on is exact; a smaller bound may be too.  A model keeps its vector
+    on one element per class it inhabits, and there are at most 2^k classes.  It also keeps it
+    on one element in each true leaf, as no false leaf gains one, and there are at most as many
+    true leaves as distinct leaves; a vector with no true leaf needs one element."""
     vocab = Vocabulary(sentence_predicates(*sentences))
     return min(1 << len(vocab), len(_compile(vocab, sentences)[1]))
 

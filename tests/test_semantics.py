@@ -762,6 +762,42 @@ class TestBoundedClosure:
             assert classification_evidence(a, b, bound) == classification_evidence(a, b)
 
 
+class TestExactBound:
+    """At ``exact_bound`` every answer equals the unbounded one.  With more
+    distinct leaves than 2^k the bound is 2^k, which cuts the closure short;
+    the sentences' own predicates fix k, while the vocabulary may hold more."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        TestAgainstFrozenWalk.UP_TO_FOUR.flatmap(
+            lambda names: st.tuples(
+                st.just(Vocabulary(names)), sentence_strategy(names), sentence_strategy(names)
+            )
+        )
+    )
+    def test_pairs(self, drawn):
+        vocab, a, b = drawn
+        bound = exact_bound([a, b])
+        assert classification_evidence(a, b, bound, vocab) == classification_evidence(
+            a, b, None, vocab
+        ), bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        TestAgainstFrozenWalk.UP_TO_FOUR.flatmap(
+            lambda names: st.tuples(
+                st.just(Vocabulary(names)),
+                st.lists(sentence_strategy(names), min_size=2, max_size=6),
+            )
+        )
+    )
+    def test_corpora(self, drawn):
+        vocab, sentences = drawn
+        corpus = Corpus(tuple((f"s{i}", s) for i, s in enumerate(sentences)), vocab)
+        bound = exact_bound(sentences)
+        assert build_graph(corpus, bound) == build_graph(corpus), bound
+
+
 class TestDefaultBoundExact:
     """Default-bound answers at k = 3, 4, 5 and 8, derived by hand."""
 

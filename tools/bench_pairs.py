@@ -165,7 +165,7 @@ def wide_pair(seed: int = 1, leaves: int = 16, predicates: int = 5) -> tuple[str
 ORACLE_BOUNDS = (None, 2, 5, 8)  # build_graph's bounds on the 60 x 3 corpus
 ORACLE_PAIR_BOUND = 5  # classify's bound on the wide pair
 ORACLE_REPEATS = 3
-ORACLE_LARGE = 120  # sentences of the corpus build_graph takes once with no bound
+ORACLE_LARGE = 120  # sentences of the larger corpus, which build_graph takes with no bound
 # reads the inputs as JSON on stdin; writes the best time of each call, and a
 # digest of each graph built with no bound, as JSON
 ORACLE_CHILD = """
@@ -174,16 +174,16 @@ from oppositions import build_graph, classify, parse_corpus, parse_sentence
 spec = json.load(sys.stdin)
 digests = {}
 
-def best(call, repeats=spec["repeats"]):
+def best(call):
     times = []
-    for _ in range(repeats):
+    for _ in range(spec["repeats"]):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
     return min(times), result
 
-def unbounded(key, corpus, repeats=spec["repeats"]):
-    seconds, graph = best(lambda: build_graph(corpus, None), repeats)
+def unbounded(key, corpus):
+    seconds, graph = best(lambda: build_graph(corpus, None))
     text = "\\n".join(f"{a} {b} {r.text()}" for a, b, r in graph.pairs())
     digests[key] = hashlib.sha256(text.encode()).hexdigest()
     return seconds
@@ -196,7 +196,7 @@ def at(n):
 
 graph = {str(n).lower(): at(n) for n in spec["bounds"]}
 pair = best(lambda: classify(a, b, spec["pair_bound"]))[0]
-large = {"none": unbounded("120x3", parse_corpus(spec["large_corpus"]), 1)}
+large = {"none": unbounded("120x3", parse_corpus(spec["large_corpus"]))}
 json.dump({"build_graph_60x3": graph, "classify_wide_pair": pair, "build_graph_120x3": large,
            "graph_sha256": digests}, sys.stdout)
 """
@@ -206,9 +206,9 @@ def oracle_s(tree: Path) -> dict:
     """The oracle's in-process seconds in an exported tree, best of
     ``ORACLE_REPEATS`` in one child: ``build_graph`` on ``oracle_corpus()``
     at each of ``ORACLE_BOUNDS`` (keyed ``none``, ``2``, ...) and
-    ``classify`` on ``wide_pair()`` at ``ORACLE_PAIR_BOUND``; then one
+    ``classify`` on ``wide_pair()`` at ``ORACLE_PAIR_BOUND``; then
     ``build_graph`` with no bound on the ``ORACLE_LARGE`` × 3 corpus of the
-    same seed (keyed ``none``), which takes seconds where the walk runs.
+    same seed (keyed ``none``).
     ``graph_sha256`` holds a digest of each graph built with no bound, over
     its text lines, so two revisions' graphs can be compared.  The child
     calls only ``parse_corpus``, ``parse_sentence``, ``build_graph``,

@@ -191,5 +191,18 @@ class TestOracleS:
             ["corpus 60", "sentence 8", "sentence 8"]
             + [f"graph c {n}" for n in ("None", 2, 5, 8) for _ in range(3)]
             + ["classify 5"] * 3
-            + ["corpus 120", "graph c None"]  # the large corpus, timed once
+            + ["corpus 120"] + ["graph c None"] * 3
         )
+
+
+class TestOracleSOnThisCheckout:
+    # the digests that BENCH_24.json accepted for both sides, where the walk
+    # built the parent's graphs and the closure the change's
+    ACCEPTED = {
+        "60x3": "9819dc61f5ab287fbf6f316793f81f57e6d770ce87561edefeab45e88f188c7f",
+        "120x3": "2f0ce5856cadcca136b78c9a163cc8a5856b2a56e1bc5cb05ee40d8c039ef30f",
+    }
+
+    def test_unbounded_graphs_are_the_accepted_ones(self):
+        timed = bench_pairs.oracle_s(Path(__file__).resolve().parents[2])
+        assert timed["graph_sha256"] == self.ACCEPTED
