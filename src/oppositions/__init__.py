@@ -50,23 +50,23 @@ _EXPORTS = {
     "classify": "semantics",
     "subaltern": "semantics",
     "OppositionGraph": "graph",
-    "from_structured": "graph",
+    "from_structured": "document",
     "graph_equal": "graph",
-    "render_segment": "graph",
+    "render_segment": "construction",
     "to_dot": "graph",
-    "to_structured": "graph",
+    "to_structured": "document",
     "AssignmentError": "segment",
     "ClauseSystem": "segment",
     "Role": "segment",
     "SegmentAssignment": "segment",
     "ShapeError": "segment",
-    "clause_matches": "segment",
-    "decode_graph": "segment",
-    "extend_hexagon": "segment",
+    "clause_matches": "construction",
+    "decode_graph": "construction",
+    "extend_hexagon": "construction",
     "infer_role": "segment",
-    "make_square_assignment": "segment",
+    "make_square_assignment": "construction",
     "synthesize": "segment",
-    "verify_against": "segment",
+    "verify_against": "construction",
 }
 
 __all__ = list(_EXPORTS)

@@ -12,16 +12,16 @@ library and the input readers refuse with ``ValueError``, and ``main``
 alone maps a refusal to its exit code.
 
 Each subcommand imports only the modules it runs.  ``classify`` compiles
-this module, ``formula``, ``parser`` and ``semantics``; ``graph``,
-``encode`` and ``synthesize`` also compile ``corpus_commands`` and
-``graph``, the last two ``segment``, and structured output ``document``.
-No command imports ``json``, ``argparse`` (with ``gettext`` and
-``locale``) or ``dataclasses``: records derive from ``formula.Record``.
+this module, ``formula``, ``parser`` and ``semantics``; the corpus
+commands add ``corpus_commands`` and ``graph``, ``synthesize`` and
+``encode`` ``segment``, ``encode`` ``construction``, and structured output
+``document``.  No command imports ``json``, ``argparse`` (with ``gettext``
+and ``locale``) or ``dataclasses``: records derive from ``formula.Record``.
 
 Exit codes: 0 success, or ``-h`` anywhere; 1 synthesis found nothing (a
 meaningful negative result); 2 an argument, parse or input error (a
 closed stdin too), a character stdout's encoding cannot carry, an
-``encode`` number line wider than ``graph.MAX_SEGMENT_COLUMNS``, a
+``encode`` number line wider than ``construction.MAX_SEGMENT_COLUMNS``, a
 ``graph --format dot`` label ending in a backslash, or more synthesis
 results than ``segment.MAX_SOLUTIONS``; 3 vocabulary mismatch
 (``VocabularyMismatchError``); 4 a corpus or roles of a shape the command
@@ -35,7 +35,7 @@ and payload, and ``main`` writes the payload once, so stdout carries a
 payload only after the command has succeeded (exits 0, 1 and 5);
 ``_write_stdout`` alone maps a failed write or flush of stdout.
 Diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``,
-each one line of at most ``MAX_LINE`` characters; one that cannot be
+each one line of at most ``MAX_LINE`` bytes; one that cannot be
 written, on a full device or a closed stderr say, is dropped, and the
 exit code stays the same.
 
@@ -68,7 +68,7 @@ EXIT_MISMATCH = 5
 EXIT_INTERNAL = 70
 EXIT_IOERR = 74
 EXIT_BROKEN_PIPE = 141
-MAX_LINE = 1000  # characters of a stderr line; a refusal can quote a whole operand
+MAX_LINE = 1000  # bytes of a stderr line; a refusal can quote a whole operand
 
 
 def _parse_sentence_arg(text: str, position: str) -> Sentence:
@@ -79,13 +79,16 @@ def _parse_sentence_arg(text: str, position: str) -> Sentence:
 
 
 def _say(line: str, code: int) -> int:
-    """Write one line to stderr, a longer one than ``MAX_LINE`` as its head
+    """Write one line to stderr, one longer than ``MAX_LINE`` bytes in its
+    own encoding and error handler, which no codec import costs, as its head
     and tail around ``…``, or drop it if stderr fails; return the code."""
-    if len(line) > MAX_LINE:
-        line = line[: MAX_LINE // 2 - 1] + "…" + line[-(MAX_LINE // 2) :]
     try:
         if sys.stderr is not None:  # None when fd 2 was closed before start
-            print(line, file=sys.stderr, flush=True)
+            codec = sys.stderr.encoding or "utf-8", sys.stderr.errors or "backslashreplace"
+            text, keep = line, MAX_LINE // 2
+            while len(text.encode(*codec)) > MAX_LINE:  # a character is 1 to 10 bytes
+                text, keep = line[: keep - 1] + "…" + line[-keep:], keep - 1
+            print(text, file=sys.stderr, flush=True)
     except OSError:  # a full device, or a pipe whose reader has gone
         pass
     return code

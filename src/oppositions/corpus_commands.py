@@ -40,25 +40,26 @@ def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
 
 
 def graph(args: SimpleNamespace) -> tuple[int, str]:
-    from .graph import to_dot, to_structured
-
     graph = _corpus_graph(_read_corpus(args.corpus), args.bound)
     if args.format == "structured":
+        from .document import to_structured
         return EXIT_OK, to_structured(graph)
     if args.format == "dot":
+        from .graph import to_dot
         return EXIT_OK, to_dot(graph)
     return EXIT_OK, "\n".join(f"{a} {b} {rel.text()}" for a, b, rel in graph.pairs())
 
 
 def encode(args: SimpleNamespace) -> tuple[int, str]:
-    from . import segment
-    from .graph import envelope, render_segment, to_dot
+    from .construction import corpus_assignment, decode_graph, render_segment, verify_against
+    from .graph import envelope, to_dot
+    from .segment import clause_system
 
     corpus = _read_corpus(args.corpus)
-    assignment = segment.corpus_assignment(corpus, args.q, args.r, args.universal_map)
-    clauses = segment.clause_system(assignment.roles, args.clauses)
+    assignment = corpus_assignment(corpus, args.q, args.r, args.universal_map)
+    clauses = clause_system(assignment.roles, args.clauses)
     semantic = _corpus_graph(corpus, args.bound)
-    report = segment.verify_against(assignment, clauses, semantic)
+    report = verify_against(assignment, clauses, semantic)
     code = EXIT_OK if report.matches else EXIT_MISMATCH
 
     if args.format == "structured":
@@ -70,7 +71,7 @@ def encode(args: SimpleNamespace) -> tuple[int, str]:
             verification=report.to_document(),
         ))
     if args.format == "dot":
-        return code, to_dot(segment.decode_graph(assignment, clauses))
+        return code, to_dot(decode_graph(assignment, clauses))
     lines = ["assignment:"]
     for label in assignment.labels:
         lines.append(f"  {label} = {assignment.values[label]} ({assignment.roles[label].value})")

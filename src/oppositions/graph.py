@@ -1,26 +1,25 @@
-"""Opposition-graph data model, comparison, and emitters.
+"""Opposition-graph data model, comparison, and the DOT emitter.
 
 An opposition graph is a complete relation-labelled graph: every
 unordered pair of distinct nodes carries exactly one relation.
-Emitters produce canonical JSON (schema_version 1), DOT text, and an
-ASCII rendering of integer segment assignments.  The relations
-themselves, ``Relation`` and ``RelationKind``, are defined in
-``semantics``, the oracle that produces them, so that ``classify``,
-which prints one relation and builds no graph, never loads this module.
+``envelope`` starts every structured document, whose canonical JSON
+(schema_version 1) ``document`` writes and reads; ``construction`` draws
+segment assignments.  Names that moved to either are forwarded on first
+access, so that old imports keep working.  The relations, ``Relation``
+and ``RelationKind``, are defined in ``semantics``, the oracle that
+produces them, so that ``classify``, which prints one relation and builds
+no graph, never loads this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from importlib import import_module
 from itertools import combinations
 
 from .semantics import Relation, RelationKind
 
 SCHEMA_VERSION = 1
-
-# The widest number line render_segment draws; each column costs about
-# twenty bytes while it is built, so a span of 10^9 would need 80 GB.
-MAX_SEGMENT_COLUMNS = 100_000
 
 
 def envelope(kind: str, **fields: object) -> dict[str, object]:
@@ -116,72 +115,18 @@ def to_dot(g: OppositionGraph) -> str:
     return "\n".join(lines)
 
 
-def to_structured(obj: object) -> str:
-    """Canonical JSON for graphs, segment assignments, and verification reports.
-
-    Byte-stable: the text is byte for byte ``json.dumps(document, indent=2)``,
-    written by ``document.dumps`` so that no command imports ``json``.
-    """
-    from .document import dumps
-    document = getattr(obj, "to_document", None)
-    if document is None:
-        raise TypeError(f"no structured form for {type(obj).__name__}")
-    return dumps(document())
+# each name that moved out, with the module that now defines it
+_MOVED = {
+    "to_structured": "document",
+    "from_structured": "document",
+    "render_segment": "construction",
+    "MAX_SEGMENT_COLUMNS": "construction",
+}
 
 
-def from_structured(text: str) -> OppositionGraph:
-    """Read back a graph that ``to_structured`` wrote, or raise ValueError.
-
-    It accepts exactly what the writer writes, in any JSON layout: the
-    graph built from ``nodes`` and ``pairs`` must write the document back,
-    with string nodes and an ``int`` schema_version (``True == 1``).  A
-    refusal quotes at most 200 characters of its cause.
-    """
-    import json
-    try:
-        document = json.loads(text)
-        edges = {frozenset((e["a"], e["b"])): _entry_relation(e) for e in document["pairs"]}
-        graph = OppositionGraph(tuple(document["nodes"]), edges)
-        written = graph.to_document() == document and type(document["schema_version"]) is int
-    except (KeyError, TypeError, ValueError, RecursionError) as err:
-        found = repr(err)  # an Enum's refusal, say, repeats the whole value
-        if len(found) > 200:
-            found = found[:149] + "…" + found[-50:]
-        raise ValueError(f"not an opposition graph document: {found}") from None
-    if not written or not all(isinstance(node, str) for node in graph.nodes):
-        raise ValueError(f"not a schema_version {SCHEMA_VERSION} graph as to_structured writes it")
-    return graph
-
-
-def _entry_relation(entry: dict) -> Relation:
-    """A pair entry's relation, read back from ``Relation.entry``'s fields."""
-    return Relation(RelationKind(entry["relation"]), entry.get("from"), entry.get("to"))
-
-
-def render_segment(assignment) -> str:
-    """ASCII number line with each label at the column of its integer.
-
-    Two lines: tick marks for every integer in the span with 0 singled
-    out, then the labels at their positions.  A line wider than
-    ``MAX_SEGMENT_COLUMNS`` raises ValueError before anything is built.
-    """
-    values = {label: assignment.values[label] for label in assignment.labels}
-    lo = min(values.values())
-    hi = max(values.values())
-    unit = max(4, max(len(label) for label in values) + 1)
-    width = (hi - lo) * unit + 1
-    if width > MAX_SEGMENT_COLUMNS:
-        raise ValueError(f"the number line would be {width} columns wide, "
-                         f"above the limit of {MAX_SEGMENT_COLUMNS}")
-
-    ticks = ["-"] * width
-    for v in range(lo, hi + 1):
-        ticks[(v - lo) * unit] = "0" if v == 0 else "+"
-
-    labels = [" "] * (width + unit)
-    for label in assignment.labels:
-        col = (values[label] - lo) * unit
-        for i, ch in enumerate(label):
-            labels[col + i] = ch
-
-    return "".join(ticks) + "\n" + "".join(labels).rstrip()
+def __getattr__(name: str):
+    """A moved name, from its new module, loaded on first access (PEP 562)."""
+    module = _MOVED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)

@@ -560,7 +560,20 @@ class TestLongRefusals:
         assert (done.returncode, done.stdout) == (code, "")
         [line] = done.stderr.splitlines()
         assert line.startswith("error: ") and "…" in line
-        assert len(line) <= cli.MAX_LINE
+        assert len(line.encode("utf-8")) <= cli.MAX_LINE
+
+    def test_the_cap_counts_bytes_in_stderrs_encoding(self, tmp_path):
+        # under ascii, backslashreplace writes each é as the four bytes \xe9
+        label = "\u00e9" * 100_000
+        done = run_child(
+            tmp_path, f"{label}: A[P]\n{label}: I[P]", ("graph",),
+            env=child_env(PYTHONIOENCODING="ascii"), encoding="ascii",
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and "duplicate label" in line
+        assert "\\xe9" in line and "\\u2026" in line
+        assert cli.MAX_LINE - 10 < len(line.encode("ascii")) <= cli.MAX_LINE
 
     def test_a_line_at_the_cap_is_kept_whole(self, capsys):
         line = "x" * cli.MAX_LINE
@@ -592,6 +605,11 @@ ORACLE_MODULES = {
 # the corpus commands' handlers live apart, so classify compiles none of them
 CORPUS_MODULES = ORACLE_MODULES | {"oppositions.corpus_commands"}
 GRAPH_MODULES = CORPUS_MODULES | {"oppositions.graph"}
+# synthesize compiles the roles, the clause tables and the search; only
+# encode adds the construction, its decoding, verification and number line
+SEARCH_MODULES = GRAPH_MODULES | {"oppositions.segment"}
+ENCODE_MODULES = SEARCH_MODULES | {"oppositions.construction"}
+WRITER = {"oppositions.document"}
 
 
 # Records are __slots__ classes, so only field introspection imports
@@ -613,6 +631,10 @@ def loaded_modules(tmp_path, corpus, argv, code=0):
     )
     assert done.returncode == code, done.stderr
     return set(done.stderr.splitlines()[-1].split())  # after any error line
+
+
+def package_modules(loaded):
+    return {m for m in loaded if m.startswith("oppositions")}
 
 
 TWENTY_FIVE = [f"P{i}(x)" for i in range(25)]
@@ -659,25 +681,35 @@ class TestImportContract:
     )
     def test_oracle_commands_load_only_the_oracle(self, tmp_path, corpus, argv, code, modules):
         loaded = loaded_modules(tmp_path, corpus, argv, code)
-        writer = {"oppositions.document"} if "structured" in argv else set()
-        assert {m for m in loaded if m.startswith("oppositions")} == modules | writer
+        writer = WRITER if "structured" in argv else set()
+        assert package_modules(loaded) == modules | writer
         assert not NEVER_LOADED & loaded
         assert "json" not in loaded
 
     def test_encode_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", "structured"))
-        assert CORPUS_MODULES | {"oppositions.segment"} <= loaded
+        assert package_modules(loaded) == ENCODE_MODULES | WRITER
+        assert not NEVER_LOADED & loaded
+
+    @pytest.mark.parametrize("form", ["text", "dot"])
+    def test_encode_loads_the_construction_in_every_format(self, tmp_path, form):
+        loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", form))
+        assert package_modules(loaded) == ENCODE_MODULES
         assert not NEVER_LOADED & loaded
 
     def test_encode_shape_error_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--clauses", "hexagon"), 4)
-        assert CORPUS_MODULES | {"oppositions.segment"} <= loaded
+        assert package_modules(loaded) == ENCODE_MODULES
         assert not NEVER_LOADED & loaded
 
     def test_synthesize_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, HEXAGON_CORPUS, ("synthesize",))
-        assert CORPUS_MODULES | {"oppositions.segment"} <= loaded
+        assert package_modules(loaded) == SEARCH_MODULES
         assert not NEVER_LOADED & loaded
+
+    def test_structured_synthesis_adds_only_the_writer(self, tmp_path):
+        loaded = loaded_modules(tmp_path, HEXAGON_CORPUS, ("synthesize", "--format", "structured"))
+        assert package_modules(loaded) == SEARCH_MODULES | WRITER
 
     @pytest.mark.parametrize(
         "corpus,argv", [(SQUARE_CORPUS, ("encode",)), (HEXAGON_CORPUS, ("synthesize",))],

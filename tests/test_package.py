@@ -52,6 +52,39 @@ class TestExports:
         assert run_fresh(RELATIONS_WITHOUT_GRAPH) == (0, "ok\n", "")
 
 
+# (old module, name, new module) for each name that bench/replay.py imports
+# from a module it has left, and for MAX_SEGMENT_COLUMNS
+MOVED = [
+    ("graph", "render_segment", "construction"),
+    ("graph", "MAX_SEGMENT_COLUMNS", "construction"),
+    ("graph", "to_structured", "document"),
+    ("segment", "decode_graph", "construction"),
+    ("segment", "extend_hexagon", "construction"),
+    ("segment", "make_square_assignment", "construction"),
+    ("segment", "verify_against", "construction"),
+]
+
+
+class TestMovedNames:
+    @pytest.mark.parametrize("old,name,new", MOVED, ids=[name for _, name, _ in MOVED])
+    def test_old_module_new_module_and_package_agree(self, old, name, new):
+        moved = getattr(importlib.import_module(f"oppositions.{new}"), name)
+        assert getattr(importlib.import_module(f"oppositions.{old}"), name) is moved
+        if name in oppositions._EXPORTS:  # MAX_SEGMENT_COLUMNS is no export
+            assert oppositions._EXPORTS[name] == new
+            assert getattr(oppositions, name) is moved
+
+    @pytest.mark.parametrize("module", ["graph", "segment"])
+    def test_unknown_name_raises_attribute_error_naming_the_module(self, module):
+        old = importlib.import_module(f"oppositions.{module}")
+        message = f"module 'oppositions.{module}' has no attribute 'no_such_name'"
+        with pytest.raises(AttributeError, match=message):
+            old.no_such_name
+
+    def test_importing_an_old_module_loads_no_new_one(self):
+        assert run_fresh(OLD_MODULES_ALONE) == (0, "ok\n", "")
+
+
 def run_fresh(script):
     """Exit code, stdout and stderr of ``script`` in a fresh interpreter."""
     src = str(Path(oppositions.__file__).resolve().parents[1])
@@ -85,5 +118,15 @@ from oppositions import build_graph, parse_corpus
 graph = build_graph(parse_corpus("A: A[P]\\nI: I[P]"))
 assert all(type(relation) is defined for relation in graph.edges.values())
 assert "oppositions.graph" in sys.modules
+print("ok")
+"""
+
+# segment and graph forward a moved name only when it is asked for
+OLD_MODULES_ALONE = """\
+import sys
+import oppositions.segment
+import oppositions.graph
+new = {"oppositions.construction", "oppositions.document"}
+assert not new & set(sys.modules), sorted(sys.modules)
 print("ok")
 """

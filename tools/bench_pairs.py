@@ -20,7 +20,7 @@ better than the parent in the same pair), next to the bound from
 ``BENCHMARK.json``; the seconds behind ``verdict_p50_x`` and each side's
 per-layer metrics the same way, as median, quartiles and runs; the
 seeds, each side's ``src/`` line count in all and per module, the lines
-that ``classify`` loads and those that the command of each workload in
+that ``classify`` loads and those that each command in
 ``WORKLOAD_COMMANDS`` loads, each side's in-process oracle seconds on
 seeded inputs no workload reaches (``oracle_s``), and the machine facts
 ``bench/run.py`` reports.
@@ -74,12 +74,14 @@ def module_lines(tree: Path) -> dict[str, int]:
 
 SQUARE = "A: A[P]\nE: E[P]\nI: I[P]\nO: O[P]\n"
 HEXAGON = SQUARE + "U: U[P]\nY: Y[P]\n"
-# the command that each workload times, as (corpus text or None, arguments);
+# the command that each workload times, and the README's encode, which
+# cli-readme times among others, as (corpus text or None, arguments);
 # which modules a command loads does not depend on its inputs' size
 WORKLOAD_COMMANDS = {
     "classify-k3": (None, ("classify", "A[P]", "O[P]")),
     "graph-wide": (SQUARE, ("graph", "--format", "structured")),
     "synth-hexagon": (HEXAGON, ("synthesize", "--clauses", "hexagon", "--magnitude", "16")),
+    "readme-encode": (HEXAGON, ("encode", "--q", "1", "--r", "2")),
 }
 
 

@@ -114,15 +114,20 @@ class TestCommandPathLines:
             "        assert open(rest[rest.index('--corpus') + 1]).read().startswith('A: A[P]')\n"
             "    if command != 'classify':\n        from . import graph\n"
             "    if command == 'synthesize':\n        from . import segment\n"
+            "    if command == 'encode':\n        from . import construction\n"
         )
         (package / "graph.py").write_text("x = 1\n" * 10)
         (package / "segment.py").write_text("y = 2\n" * 100)
+        (package / "construction.py").write_text("z = 3\n" * 20)
         (package / "document.py").write_text("never loaded\n" * 1000)
         counted = {
             workload: bench_pairs.command_path_lines(tmp_path, *command)
             for workload, command in bench_pairs.WORKLOAD_COMMANDS.items()
         }
-        assert counted == {"classify-k3": 4 + 3 + 10, "graph-wide": 17 + 10, "synth-hexagon": 127}
+        assert counted == {
+            "classify-k3": 6 + 3 + 10, "graph-wide": 19 + 10, "synth-hexagon": 129,
+            "readme-encode": 19 + 10 + 20,
+        }
         assert bench_pairs.classify_path_lines(tmp_path) == counted["classify-k3"]
 
 
