@@ -129,11 +129,10 @@ def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
     distinct objects, so they require the six-label hexagon shape."""
     _check_shape(e.roles, cs)
     rows, triples = CLAUSES[cs], _triples(e)
-    edges = {
-        frozenset((a, b)): next(_fired(rows, a, e.values[a], b, e.values[b], triples))
+    return OppositionGraph(e.labels, tuple(
+        next(_fired(rows, a, e.values[a], b, e.values[b], triples))
         for a, b in combinations(e.labels, 2)
-    }
-    return OppositionGraph(e.labels, edges)
+    ))
 
 
 # --- verification against the semantic oracle ---

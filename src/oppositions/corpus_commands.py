@@ -12,6 +12,7 @@ import sys
 from types import SimpleNamespace
 
 from .cli import EXIT_MISMATCH, EXIT_NO_RESULTS, EXIT_OK, _note_if_cut_short
+from .graph import OppositionGraph
 from .parser import Corpus, ParseError, parse_corpus
 from .semantics import build_graph
 

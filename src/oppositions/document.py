@@ -48,17 +48,20 @@ def from_structured(text: str) -> OppositionGraph:
     refusal quotes at most 200 characters of its cause.
     """
     import json
+    from itertools import combinations
     try:
         document = json.loads(text)
-        edges = {frozenset((e["a"], e["b"])): _entry_relation(e) for e in document["pairs"]}
-        graph = OppositionGraph(tuple(document["nodes"]), edges)
-        written = graph.to_document() == document and type(document["schema_version"]) is int
+        nodes, entries = tuple(document["nodes"]), document["pairs"]
+        written = [(e["a"], e["b"]) for e in entries] == list(combinations(nodes, 2))
+        if written:  # else a pair out of the writer's order could be read as another pair
+            graph = OppositionGraph(nodes, map(_entry_relation, entries))
+            written = graph.to_document() == document and type(document["schema_version"]) is int
     except (KeyError, TypeError, ValueError, RecursionError) as err:
         found = repr(err)  # an Enum's refusal, say, repeats the whole value
         if len(found) > 200:
             found = found[:149] + "…" + found[-50:]
         raise ValueError(f"not an opposition graph document: {found}") from None
-    if not written or not all(isinstance(node, str) for node in graph.nodes):
+    if not written or not all(isinstance(node, str) for node in nodes):
         raise ValueError(f"not a schema_version {SCHEMA_VERSION} graph as to_structured writes it")
     return graph
 

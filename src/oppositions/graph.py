@@ -1,19 +1,19 @@
 """Opposition-graph data model, comparison, and the DOT emitter.
 
 An opposition graph is a complete relation-labelled graph: every
-unordered pair of distinct nodes carries exactly one relation.
-``envelope`` starts every structured document, whose canonical JSON
-(schema_version 1) ``document`` writes and reads; ``construction`` draws
-segment assignments.  Names that moved to either are forwarded on first
-access, so that old imports keep working.  The relations, ``Relation``
-and ``RelationKind``, are defined in ``semantics``, the oracle that
-produces them, so that ``classify``, which prints one relation and builds
-no graph, never loads this module.
+unordered pair of distinct nodes carries exactly one relation, held in
+one tuple in ``combinations(nodes, 2)`` order.  ``envelope`` starts every
+structured document, whose canonical JSON (schema_version 1) ``document``
+writes and reads; ``construction`` draws segment assignments.  Names that
+moved to either are forwarded on first access, so that old imports keep
+working.  The relations, ``Relation`` and ``RelationKind``, are defined
+in ``semantics``, the oracle that produces them, so that ``classify``,
+which prints one relation and builds no graph, never loads this module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from importlib import import_module
 from itertools import combinations
 
@@ -41,38 +41,37 @@ _DOT = {
 class OppositionGraph:
     """Complete relation-labelled graph over an ordered node set.
 
-    No label may hold a surrogate code point: UTF-8 cannot carry one, and
-    the structured form's ``\\ud800\\udc00`` reads back as U+10000.
+    ``relations`` holds one relation per pair, in ``combinations(nodes, 2)``
+    order, and nothing else is kept per pair.  No label may hold a surrogate:
+    UTF-8 cannot carry one, and a structured ``\\ud800\\udc00`` reads as U+10000.
     """
 
-    def __init__(self, nodes: tuple[str, ...], edges: Mapping[frozenset, Relation]):
-        nodes = tuple(nodes)
-        if len(set(nodes)) != len(nodes):
+    def __init__(self, nodes: tuple[str, ...], relations: Iterable[Relation]):
+        nodes, relations = tuple(nodes), tuple(relations)
+        self._position = {node: i for i, node in enumerate(nodes)}
+        if len(self._position) != len(nodes):
             raise ValueError("node labels must be unique")
         if len(nodes) < 2:
             raise ValueError("an opposition graph needs at least two nodes")
         if any(isinstance(n, str) and any("\ud800" <= c <= "\udfff" for c in n) for n in nodes):
             raise ValueError("a node label holds a surrogate code point, which UTF-8 cannot carry")
-        edges = dict(edges)
-        expected = {frozenset(pair) for pair in combinations(nodes, 2)}
-        if set(edges) != expected:
+        if len(relations) != len(nodes) * (len(nodes) - 1) // 2:
             raise ValueError("graph must label every unordered pair of distinct nodes")
-        for pair, relation in edges.items():
-            if relation.kind is RelationKind.SUBALTERN and {
-                relation.source,
-                relation.target,
-            } != set(pair):
-                raise ValueError(f"subaltern direction outside pair {set(pair)}")
-        self.nodes = nodes
-        self.edges = edges
+        for (a, b), r in zip(combinations(nodes, 2), relations):
+            if r.kind is RelationKind.SUBALTERN and {r.source, r.target} != {a, b}:
+                raise ValueError(f"subaltern direction outside pair {({a, b})}")
+        self.nodes, self.relations = nodes, relations
 
     def relation(self, a: str, b: str) -> Relation:
-        return self.edges[frozenset((a, b))]
+        """Either way round; KeyError for an unknown label or ``a == b``."""
+        i, j = sorted((self._position[a], self._position[b]))
+        if i == j:
+            raise KeyError(a)
+        return self.relations[i * (2 * len(self.nodes) - i - 3) // 2 + j - 1]
 
     def pairs(self) -> Iterator[tuple[str, str, Relation]]:
         """Pairs with their relations, in node order."""
-        for a, b in combinations(self.nodes, 2):
-            yield a, b, self.relation(a, b)
+        return ((a, b, r) for (a, b), r in zip(combinations(self.nodes, 2), self.relations))
 
     def to_document(self) -> dict[str, object]:
         pairs = [{"a": a, "b": b, **relation.entry()} for a, b, relation in self.pairs()]

@@ -194,20 +194,22 @@ class _Vectors:
         """Mask over vectors: bit v says whether the sentence holds under vector v."""
         return _fold(s, lambda q: self._masks[self._leaf(q)], self.all)
 
-    def evidence(self, ta: int, tb: int) -> Evidence:
-        """The classification flags of two truth masks."""
-        return Evidence(ta & tb != 0, ta | tb != self.all, ta & ~tb == 0, tb & ~ta == 0)
+    def flags(self, ta: int, tb: int) -> tuple[bool, bool, bool, bool]:
+        """The classification flags of two truth masks, in ``Evidence``'s field order."""
+        return ta & tb != 0, ta | tb != self.all, ta & ~tb == 0, tb & ~ta == 0
 
 
 class Evidence(Record):
-    """A pair's four truth-combination flags, over every leaf vector that a
-    model within the bound realizes."""
+    """A pair's four truth-combination flags over every leaf vector realized within the bound."""
 
     __slots__ = ("both_true", "both_false", "first_entails_second", "second_entails_first")
     both_true: bool
     both_false: bool
     first_entails_second: bool
     second_entails_first: bool
+
+    def __iter__(self) -> Iterator[bool]:
+        return iter(self._values())  # so ``_relation`` reads it as ``_Vectors.flags``' tuple
 
 
 def _shared_vocabulary(a: Sentence, b: Sentence, vocab: Vocabulary | None) -> Vocabulary:
@@ -233,7 +235,7 @@ def classification_evidence(
 ) -> Evidence:
     """The four classification flags over every model up to the bound."""
     vectors = _Vectors(_shared_vocabulary(a, b, vocab), (a, b), max_size)
-    return vectors.evidence(vectors.truth(a), vectors.truth(b))
+    return Evidence(*vectors.flags(vectors.truth(a), vectors.truth(b)))
 
 
 def exact_bound(sentences: list[Sentence]) -> int:
@@ -246,18 +248,19 @@ def exact_bound(sentences: list[Sentence]) -> int:
     return min(1 << len(vocab), len(_compile(vocab, sentences)[1]))
 
 
-def _relation(ev: Evidence, names: tuple[str, str]) -> Relation:
-    if ev.first_entails_second and ev.second_entails_first:
+def _relation(flags: tuple[bool, bool, bool, bool], names: tuple[str, str]) -> Relation:
+    both_true, both_false, first_entails_second, second_entails_first = flags
+    if first_entails_second and second_entails_first:
         return EQUIVALENT
-    if not ev.both_true and not ev.both_false:
+    if not both_true and not both_false:
         return CONTRADICTORY
-    if not ev.both_true:
+    if not both_true:
         return CONTRARY
-    if not ev.both_false:
+    if not both_false:
         return SUBCONTRARY
-    if ev.first_entails_second:
+    if first_entails_second:
         return subaltern(names[0], names[1])
-    if ev.second_entails_first:
+    if second_entails_first:
         return subaltern(names[1], names[0])
     return UNCONNECTED
 
@@ -292,7 +295,6 @@ def build_graph(corpus: Corpus, max_size: int | None = None) -> OppositionGraph:
         raise ValueError("a corpus needs at least two entries to build a graph")
     vectors = _Vectors(corpus.vocabulary, (s for _, s in corpus.entries), max_size)
     truths = [(label, vectors.truth(s)) for label, s in corpus.entries]
-    edges = {}
-    for (la, ta), (lb, tb) in combinations(truths, 2):
-        edges[frozenset((la, lb))] = _relation(vectors.evidence(ta, tb), (la, lb))
-    return OppositionGraph(corpus.labels, edges)
+    return OppositionGraph(corpus.labels, tuple(
+        _relation(vectors.flags(ta, tb), (la, lb)) for (la, ta), (lb, tb) in combinations(truths, 2)
+    ))

@@ -197,6 +197,15 @@ class TestGraph:
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == (GOLDEN / "graph-square-text.out").read_bytes()
 
+    def test_corpus_graph_annotation_resolves(self):
+        # the postponed annotation names a class the module imports
+        import typing
+        from oppositions import corpus_commands
+        from oppositions.graph import OppositionGraph
+
+        hints = typing.get_type_hints(corpus_commands._corpus_graph)
+        assert hints["return"] is OppositionGraph
+
 
 class TestEncode:
     def test_square_matches(self, capsys, square_file):

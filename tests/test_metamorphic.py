@@ -49,12 +49,12 @@ def rename(s, names):
 
 def relabel(graph, labels):
     """The graph with each node renamed through ``labels``."""
-    edges = {}
-    for a, b, relation in graph.pairs():
+    relations = []  # each node keeps its place, so each pair does too
+    for _, _, relation in graph.pairs():
         if relation.source is not None:
             relation = subaltern(labels[relation.source], labels[relation.target])
-        edges[frozenset((labels[a], labels[b]))] = relation
-    return OppositionGraph(tuple(labels[n] for n in graph.nodes), edges)
+        relations.append(relation)
+    return OppositionGraph(tuple(labels[n] for n in graph.nodes), relations)
 
 
 class TestOracle:

@@ -116,7 +116,7 @@ assert subaltern("a", "b").kind is RelationKind.SUBALTERN
 assert "oppositions.graph" not in sys.modules, sorted(sys.modules)
 from oppositions import build_graph, parse_corpus
 graph = build_graph(parse_corpus("A: A[P]\\nI: I[P]"))
-assert all(type(relation) is defined for relation in graph.edges.values())
+assert all(type(relation) is defined for relation in graph.relations)
 assert "oppositions.graph" in sys.modules
 print("ok")
 """

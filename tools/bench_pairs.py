@@ -22,7 +22,8 @@ per-layer metrics the same way, as median, quartiles and runs; the
 seeds, each side's ``src/`` line count in all and per module, the lines
 that ``classify`` loads and those that each command in
 ``WORKLOAD_COMMANDS`` loads, each side's in-process oracle seconds on
-seeded inputs no workload reaches (``oracle_s``), and the machine facts
+seeded inputs no workload reaches, with the graph's bytes per pair on a
+large corpus (``oracle_s``), and the machine facts
 ``bench/run.py`` reports.
 Children run with ``PYTHONDONTWRITEBYTECODE=1``, so every CLI call
 compiles what it imports.
@@ -164,14 +165,21 @@ def wide_pair(seed: int = 1, leaves: int = 16, predicates: int = 5) -> tuple[str
     return " & ".join(parts[: leaves // 2]), " | ".join(parts[leaves // 2 :])
 
 
+def aeio_corpus(sentences: int) -> str:
+    """``A[P]``, ``E[P]``, ``I[P]`` and ``O[P]`` in turn, labelled ``s0``, ``s1``, ...:
+    one leaf, so the oracle is trivial and the graph's own cost per pair shows."""
+    return "".join(f"s{i}: {'AEIO'[i % 4]}[P]\n" for i in range(sentences))
+
+
 ORACLE_BOUNDS = (None, 2, 5, 8)  # build_graph's bounds on the 60 x 3 corpus
 ORACLE_PAIR_BOUND = 5  # classify's bound on the wide pair
 ORACLE_REPEATS = 3
 ORACLE_LARGE = 120  # sentences of the larger corpus, which build_graph takes with no bound
+ORACLE_AEIO = 500  # sentences of the A/E/I/O corpus, whose graph's memory is traced
 # reads the inputs as JSON on stdin; writes the best time of each call, and a
 # digest of each graph built with no bound, as JSON
 ORACLE_CHILD = """
-import hashlib, json, sys, time
+import hashlib, json, sys, time, tracemalloc
 from oppositions import build_graph, classify, parse_corpus, parse_sentence
 spec = json.load(sys.stdin)
 digests = {}
@@ -199,8 +207,15 @@ def at(n):
 graph = {str(n).lower(): at(n) for n in spec["bounds"]}
 pair = best(lambda: classify(a, b, spec["pair_bound"]))[0]
 large = {"none": unbounded("120x3", parse_corpus(spec["large_corpus"]))}
+aeio = parse_corpus(spec["aeio_corpus"])
+seconds = best(lambda: build_graph(aeio, None))[0]
+tracemalloc.start()
+build_graph(aeio, None)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+aeio_row = {"seconds": seconds, "peak_bytes_per_pair": peak / spec["aeio_pairs"]}
 json.dump({"build_graph_60x3": graph, "classify_wide_pair": pair, "build_graph_120x3": large,
-           "graph_sha256": digests}, sys.stdout)
+           "build_graph_500_aeio": aeio_row, "graph_sha256": digests}, sys.stdout)
 """
 
 
@@ -210,7 +225,9 @@ def oracle_s(tree: Path) -> dict:
     at each of ``ORACLE_BOUNDS`` (keyed ``none``, ``2``, ...) and
     ``classify`` on ``wide_pair()`` at ``ORACLE_PAIR_BOUND``; then
     ``build_graph`` with no bound on the ``ORACLE_LARGE`` × 3 corpus of the
-    same seed (keyed ``none``).
+    same seed (keyed ``none``), and on ``aeio_corpus(ORACLE_AEIO)``, keyed
+    ``seconds``, next to the ``tracemalloc`` peak of one more call over its
+    pairs (``peak_bytes_per_pair``).
     ``graph_sha256`` holds a digest of each graph built with no bound, over
     its text lines, so two revisions' graphs can be compared.  The child
     calls only ``parse_corpus``, ``parse_sentence``, ``build_graph``,
@@ -220,6 +237,7 @@ def oracle_s(tree: Path) -> dict:
         "corpus": oracle_corpus(), "pair": wide_pair(), "bounds": ORACLE_BOUNDS,
         "pair_bound": ORACLE_PAIR_BOUND, "repeats": ORACLE_REPEATS,
         "large_corpus": oracle_corpus(sentences=ORACLE_LARGE),
+        "aeio_corpus": aeio_corpus(ORACLE_AEIO), "aeio_pairs": ORACLE_AEIO * (ORACLE_AEIO - 1) // 2,
     }
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(

@@ -148,6 +148,11 @@ class TestOracleInputs:
         assert large.startswith(bench_pairs.oracle_corpus())
         assert len(large.splitlines()) == 120
 
+    def test_aeio_corpus_takes_the_four_forms_in_turn(self):
+        text = bench_pairs.aeio_corpus(5)
+        assert text == "s0: A[P]\ns1: E[P]\ns2: I[P]\ns3: O[P]\ns4: A[P]\n"
+        assert len(bench_pairs.aeio_corpus(bench_pairs.ORACLE_AEIO).splitlines()) == 500
+
     def test_wide_pair_splits_distinct_three_cell_leaves(self):
         a, b = bench_pairs.wide_pair()
         assert (a, b) == bench_pairs.wide_pair(1, 16, 5) != bench_pairs.wide_pair(2)
@@ -179,13 +184,15 @@ class TestOracleS:
         )
         timed = bench_pairs.oracle_s(tmp_path)
         assert list(timed) == [
-            "build_graph_60x3", "classify_wide_pair", "build_graph_120x3", "graph_sha256",
+            "build_graph_60x3", "classify_wide_pair", "build_graph_120x3",
+            "build_graph_500_aeio", "graph_sha256",
         ]
         assert list(timed["build_graph_60x3"]) == ["none", "2", "5", "8"]
         assert list(timed["build_graph_120x3"]) == ["none"]
+        assert list(timed["build_graph_500_aeio"]) == ["seconds", "peak_bytes_per_pair"]
         seconds = [
             *timed["build_graph_60x3"].values(), timed["classify_wide_pair"],
-            timed["build_graph_120x3"]["none"],
+            timed["build_graph_120x3"]["none"], *timed["build_graph_500_aeio"].values(),
         ]
         assert all(isinstance(s, float) and s >= 0 for s in seconds)
         # each graph built with no bound, by the digest of its text lines
@@ -197,6 +204,8 @@ class TestOracleS:
             + [f"graph c {n}" for n in ("None", 2, 5, 8) for _ in range(3)]
             + ["classify 5"] * 3
             + ["corpus 120"] + ["graph c None"] * 3
+            # timed three times, then once more under tracemalloc
+            + ["corpus 500"] + ["graph c None"] * 4
         )
 
 
@@ -211,3 +220,5 @@ class TestOracleSOnThisCheckout:
     def test_unbounded_graphs_are_the_accepted_ones(self):
         timed = bench_pairs.oracle_s(Path(__file__).resolve().parents[2])
         assert timed["graph_sha256"] == self.ACCEPTED
+        # one relation per pair in pair order; a frozenset map took 598 B
+        assert timed["build_graph_500_aeio"]["peak_bytes_per_pair"] < 199
