@@ -129,7 +129,7 @@ def decode_graph(e: SegmentAssignment, cs: ClauseSystem) -> OppositionGraph:
     distinct objects, so they require the six-label hexagon shape."""
     _check_shape(e.roles, cs)
     rows, triples = CLAUSES[cs], _triples(e)
-    return OppositionGraph(e.labels, tuple(
+    return OppositionGraph(e.labels, (
         next(_fired(rows, a, e.values[a], b, e.values[b], triples))
         for a, b in combinations(e.labels, 2)
     ))

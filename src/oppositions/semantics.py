@@ -295,6 +295,6 @@ def build_graph(corpus: Corpus, max_size: int | None = None) -> OppositionGraph:
         raise ValueError("a corpus needs at least two entries to build a graph")
     vectors = _Vectors(corpus.vocabulary, (s for _, s in corpus.entries), max_size)
     truths = [(label, vectors.truth(s)) for label, s in corpus.entries]
-    return OppositionGraph(corpus.labels, tuple(
+    return OppositionGraph(corpus.labels, (
         _relation(vectors.flags(ta, tb), (la, lb)) for (la, ta), (lb, tb) in combinations(truths, 2)
     ))

@@ -50,7 +50,7 @@ def rename(s, names):
 def relabel(graph, labels):
     """The graph with each node renamed through ``labels``."""
     relations = []  # each node keeps its place, so each pair does too
-    for _, _, relation in graph.pairs():
+    for relation in graph.relations:
         if relation.source is not None:
             relation = subaltern(labels[relation.source], labels[relation.target])
         relations.append(relation)
