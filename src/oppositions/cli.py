@@ -3,7 +3,7 @@
 Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
 ``synthesize`` every encoding of a corpus within a magnitude bound.
-This module parses arguments, runs ``classify`` and prints;
+This module parses arguments, classifies a pair and prints;
 ``corpus_commands`` runs the other three, and ``segment`` decides a
 corpus's shape, its roles and the default clauses.  One table,
 ``COMMANDS``, gives each command's positionals, flags and handler, and
@@ -34,10 +34,10 @@ device or closed before start (``>&-``), with one ``error:`` line; 141
 and payload, and ``main`` writes the payload once, so stdout carries a
 payload only after the command has succeeded (exits 0, 1 and 5);
 ``_write_stdout`` alone maps a failed write or flush of stdout.
-Diagnostics go to stderr, as does a ``note:`` on an inexact ``--bound``,
-each one line of at most ``MAX_LINE`` bytes; one that cannot be
-written, on a full device or a closed stderr say, is dropped, and the
-exit code stays the same.
+Diagnostics, and a ``note:`` when the oracle says ``--bound`` cut the
+answer short, go to stderr, one line of at most ``MAX_LINE`` bytes
+each; one that cannot be written, on a full device or a closed stderr
+say, is dropped, and the exit code stays the same.
 
 ``main`` returns its exit code and never ends the process, so tests and
 benchmarks call it in-process.  ``run`` is the one way in for
@@ -57,7 +57,7 @@ from types import SimpleNamespace
 
 from .formula import A_LOW, UNIVERSAL_MAPS, Sentence
 from .parser import ParseError, parse_sentence
-from .semantics import VocabularyMismatchError, classify, exact_bound
+from .semantics import VocabularyMismatchError, _pair, pair_relations
 
 EXIT_OK = 0
 EXIT_NO_RESULTS = 1
@@ -94,16 +94,16 @@ def _say(line: str, code: int) -> int:
     return code
 
 
-def _note_if_cut_short(bound: int | None, sentences: list[Sentence]) -> None:
-    if bound is not None and bound < (exact := exact_bound(sentences)):
-        _say(f"note: --bound {bound} is below {exact}, so the answer may not be exact", EXIT_OK)
+def _note_if_cut_short(bound: int | None, cut: bool) -> None:
+    if cut:
+        _say(f"note: --bound {bound} is too small: some model needs {bound + 1} elements, "
+             "so the answer may not be exact", EXIT_OK)
 
 
 def _cmd_classify(args: SimpleNamespace) -> tuple[int, str]:
-    a = _parse_sentence_arg(args.a, "a")
-    b = _parse_sentence_arg(args.b, "b")
-    relation = classify(a, b, args.bound)
-    _note_if_cut_short(args.bound, [a, b])
+    a, b = _parse_sentence_arg(args.a, "a"), _parse_sentence_arg(args.b, "b")
+    (relation,), cut = pair_relations(_pair(a, b), args.bound)
+    _note_if_cut_short(args.bound, cut)
     return EXIT_OK, relation.text()
 
 

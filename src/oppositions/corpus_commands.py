@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from .cli import EXIT_MISMATCH, EXIT_NO_RESULTS, EXIT_OK, _note_if_cut_short
 from .graph import OppositionGraph
 from .parser import Corpus, ParseError, parse_corpus
-from .semantics import build_graph
+from .semantics import pair_relations
 
 
 def _read_corpus(path: str) -> Corpus:
@@ -35,8 +35,9 @@ def _read_corpus(path: str) -> Corpus:
 
 
 def _corpus_graph(corpus: Corpus, bound: int | None) -> OppositionGraph:
-    graph = build_graph(corpus, bound)
-    _note_if_cut_short(bound, [s for _, s in corpus.entries])
+    relations, cut = pair_relations(corpus, bound)
+    graph = OppositionGraph(corpus.labels, relations)
+    _note_if_cut_short(bound, cut)
     return graph
 
 

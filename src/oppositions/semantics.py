@@ -147,8 +147,8 @@ def _walk(leaves: list[int], cells: int, one: bool) -> Iterator[int]:
 
 
 def _within(leaves: list[int], cells: int, max_size: int) -> Iterator[int]:
-    """Each vector realized within ``max_size`` elements: an OR of at most
-    ``max_size`` signatures, found one element more at a time."""
+    """Each vector realized within ``max_size`` elements, an OR of at most ``max_size``
+    signatures, layer by layer; then, below the leaves, -1 if one layer more is not empty."""
     signatures = []
     for sig in _walk(leaves, cells, True):
         signatures.append(sig)
@@ -162,29 +162,36 @@ def _within(leaves: list[int], cells: int, max_size: int) -> Iterator[int]:
             new += found
             yield from found
         layer = new
+    if max_size < len(leaves) and any(v | s not in seen for v in layer for s in signatures):
+        yield -1
 
 
 class _Vectors:
-    """The leaf vectors realizable within ``max_size`` elements; only a bound below the
-    leaves cuts (``exact_bound``).  The closure of class signatures finds them under a cut or
-    over at most 16 cells, where its set of vectors stays small; else the unbounded walk does.
-    Each vector is one row of leaf digits, and each leaf's mask is read down its column."""
+    """The leaf vectors realizable within ``max_size`` elements, and ``cut``: whether one needs
+    more.  A model keeps its vector on one element per class it inhabits, of at most 2^k, and
+    on one in each true leaf, as no false leaf gains one (on one if none is true); so no bound
+    from min(2^k, distinct leaves) on cuts, and the layers stop at the leaves.  Under a bound
+    below the leaves or over at most 16 cells, the closure of class signatures finds the vectors,
+    and one layer more says if the bound cut (once a layer is empty, so is every later one); else
+    the walk does.  Each vector is one row of leaf digits; a leaf's mask is read down its column."""
 
     def __init__(self, vocab: Vocabulary, sentences: Iterable[Sentence], max_size: int | None):
         if max_size is not None and max_size < 1:
             raise ValueError("max_size must be at least 1")
         self._leaf, leaves = _compile(vocab, sentences)
-        cells, count, width = 1 << len(vocab), 0, len(leaves)
+        cells, count, width, cut = 1 << len(vocab), 0, len(leaves), False
         layers = len(leaves) if max_size is None else min(max_size, len(leaves))
         closure = cells <= 16 or layers < len(leaves)
         rows = bytearray()  # per vector, its binary digits over the leaves, leaf 0's last
         for bits in _within(leaves, cells, layers) if closure else _walk(leaves, cells, False):
+            if cut := bits < 0:  # the closure's last word: a vector needs one element more
+                break
             count += 1
             if count * cells > _LIMIT:  # under a bound, each class alone realizes a vector
                 raise ValueError(f"{len(vocab)} predicates give {count:,} or more leaf vectors "
                                  f"over {cells:,} cells, past the oracle's limit of {_LIMIT:,}")
             rows += f"{bits:0{width}b}".encode()
-        self.all = (1 << count) - 1
+        self.all, self.cut = (1 << count) - 1, cut
         self._masks = {}  # over vectors, for each leaf and its negation
         for j, c in enumerate(leaves):
             self._masks[c, False] = mask = int(rows[width - 1 - j :: width], 2)
@@ -212,19 +219,19 @@ class Evidence(Record):
         return iter(self._values())  # so ``_relation`` reads it as ``_Vectors.flags``' tuple
 
 
-def _shared_vocabulary(a: Sentence, b: Sentence, vocab: Vocabulary | None) -> Vocabulary:
-    preds_a = sentence_predicates(a)
-    preds_b = sentence_predicates(b)
+def _pair(a: Sentence, b: Sentence, vocab: Vocabulary | None = None,
+          names: tuple[str, str] = ("a", "b")) -> Corpus:
+    """``a`` and ``b`` as a corpus over ``vocab``, or over their predicates if they share them."""
+    preds_a, preds_b = sentence_predicates(a), sentence_predicates(b)
     if vocab is not None:
         missing = [p for p in preds_a + preds_b if p not in vocab]
         if missing:
             raise VocabularyMismatchError(f"predicates {sorted(set(missing))} not in the "
                                           "given vocabulary")
-        return vocab
-    if set(preds_a) != set(preds_b):
+    elif set(preds_a) != set(preds_b):
         raise VocabularyMismatchError("vocabulary mismatch: sentences use different predicates "
                                       f"({sorted(set(preds_a))} vs {sorted(set(preds_b))})")
-    return Vocabulary(preds_a)
+    return Corpus(((names[0], a), (names[1], b)), Vocabulary(preds_a) if vocab is None else vocab)
 
 
 def classification_evidence(
@@ -234,18 +241,8 @@ def classification_evidence(
     vocab: Vocabulary | None = None,
 ) -> Evidence:
     """The four classification flags over every model up to the bound."""
-    vectors = _Vectors(_shared_vocabulary(a, b, vocab), (a, b), max_size)
+    vectors = _Vectors(_pair(a, b, vocab).vocabulary, (a, b), max_size)
     return Evidence(*vectors.flags(vectors.truth(a), vectors.truth(b)))
-
-
-def exact_bound(sentences: list[Sentence]) -> int:
-    """min(2^k, distinct leaves), within which every realizable leaf vector is realized, so
-    every answer from it on is exact; a smaller bound may be too.  A model keeps its vector
-    on one element per class it inhabits, and there are at most 2^k classes.  It also keeps it
-    on one element in each true leaf, as no false leaf gains one, and there are at most as many
-    true leaves as distinct leaves; a vector with no true leaf needs one element."""
-    vocab = Vocabulary(sentence_predicates(*sentences))
-    return min(1 << len(vocab), len(_compile(vocab, sentences)[1]))
 
 
 def _relation(flags: tuple[bool, bool, bool, bool], names: tuple[str, str]) -> Relation:
@@ -265,6 +262,17 @@ def _relation(flags: tuple[bool, bool, bool, bool], names: tuple[str, str]) -> R
     return UNCONNECTED
 
 
+def pair_relations(corpus: Corpus,
+                   max_size: int | None = None) -> tuple[tuple[Relation, ...], bool]:
+    """Each pair's relation, in ``combinations(corpus.entries, 2)`` order, from one compile,
+    and whether the bound cut, so that an answer may not be exact."""
+    vectors = _Vectors(corpus.vocabulary, (s for _, s in corpus.entries), max_size)
+    truths = [(label, vectors.truth(s)) for label, s in corpus.entries]
+    return tuple(
+        _relation(vectors.flags(ta, tb), (la, lb)) for (la, ta), (lb, tb) in combinations(truths, 2)
+    ), vectors.cut
+
+
 def classify(
     a: Sentence,
     b: Sentence,
@@ -282,19 +290,10 @@ def classify(
     over different predicates raise VocabularyMismatchError unless ``vocab``
     holds the predicates of both.
     """
-    return _relation(classification_evidence(a, b, max_size, vocab), names)
+    return pair_relations(_pair(a, b, vocab, names), max_size)[0][0]
 
 
 def build_graph(corpus: Corpus, max_size: int | None = None) -> OppositionGraph:
-    """Classify every unordered pair of corpus sentences.
-
-    The corpus compiles once; a pair then costs one bitwise step.
-    """
+    """Classify every unordered pair of corpus sentences, compiled once."""
     from .graph import OppositionGraph
-    if len(corpus) < 2:
-        raise ValueError("a corpus needs at least two entries to build a graph")
-    vectors = _Vectors(corpus.vocabulary, (s for _, s in corpus.entries), max_size)
-    truths = [(label, vectors.truth(s)) for label, s in corpus.entries]
-    return OppositionGraph(corpus.labels, (
-        _relation(vectors.flags(ta, tb), (la, lb)) for (la, ta), (lb, tb) in combinations(truths, 2)
-    ))
+    return OppositionGraph(corpus.labels, pair_relations(corpus, max_size)[0])

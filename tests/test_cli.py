@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oppositions
-from oppositions import cli, print_sentence
+from oppositions import cli, print_sentence, semantics
 from oppositions.cli import main
 from oppositions.formula import A_LOW, UNIVERSAL_MAPS
 from conftest import HEXAGON_CORPUS, SQUARE_CORPUS, sentence_strategy
@@ -92,34 +92,113 @@ class TestClassify:
         assert (code, out, err) == (0, "contradictory\n", "")
 
 
+def cut_note(bound):
+    return (f"note: --bound {bound} is too small: some model needs {bound + 1} elements, "
+            "so the answer may not be exact\n")
+
+
 class TestCutShortNote:
-    """A bound below min(2^k, distinct leaves), where an answer may not be exact,
-    is labelled on stderr only."""
+    """A bound that the oracle says cut its answer short, where some model needs
+    more elements than the bound, is labelled on stderr only."""
+
+    # four distinct leaves, yet every vector is realized within 2 elements
+    EARLY_PAIR = (
+        "(exists x. P(x)) & (exists x. Q(x)) & (exists x. P(x) & Q(x))",
+        "exists x. P(x) & ~Q(x)",
+    )
+    # five predicates (32 cells) and three distinct leaves; a is false in every
+    # one-element model, and a true with b false needs three elements
+    FIVE_PAIR = (
+        "(exists x. P(x) & ~Q(x) & R(x)) & (exists x. ~P(x) & S(x) & T(x))",
+        "forall x. P(x) | Q(x) | R(x) | S(x) | T(x)",
+    )
 
     def test_contrary_pair_at_bound_one(self, capsys):
         # both are false only in a model with two elements
         code, out, err = run(capsys, "classify", "A[P]", "E[P]", "--bound", "1")
-        assert (code, out) == (0, "contradictory\n")
-        assert err.startswith("note: --bound 1 is below 2,") and err.count("\n") == 1
+        assert (code, out, err) == (0, "contradictory\n", cut_note(1))
 
     @pytest.mark.parametrize("argv", [(), ("--bound", "2"), ("--bound", "5")])
     def test_exact_bounds_stay_quiet(self, capsys, argv):
         code, out, err = run(capsys, "classify", "A[P]", "E[P]", *argv)
         assert (code, out, err) == (0, "contrary\n", "")
 
+    @pytest.mark.parametrize("bound", ["2", "3", "4"])
+    def test_a_bound_below_the_leaves_that_does_not_cut_stays_quiet(self, capsys, bound):
+        code, out, err = run(capsys, "classify", *self.EARLY_PAIR, "--bound", bound)
+        assert (code, out, err) == (0, "unconnected\n", "")
+        code, out, err = run(capsys, "classify", *self.EARLY_PAIR, "--bound", "1")
+        assert (code, out, err) == (0, "contrary\n", cut_note(1))
+
+    @pytest.mark.parametrize(
+        "bound, expected",
+        [("1", ("contrary\n", cut_note(1))), ("2", ("subaltern(a->b)\n", cut_note(2))),
+         ("3", ("unconnected\n", "")), ("9", ("unconnected\n", ""))],
+    )
+    def test_five_predicates(self, capsys, monkeypatch, bound, expected):
+        # from the three distinct leaves on, the walk runs and never cuts;
+        # below them the closure walks only the classes, and cuts
+        walked = []
+
+        def spying(leaves, cells, one):
+            walked.append(one)
+            return walk(leaves, cells, one)
+
+        walk = semantics._walk
+        monkeypatch.setattr(semantics, "_walk", spying)
+        code, out, err = run(capsys, "classify", *self.FIVE_PAIR, "--bound", bound)
+        assert (code, (out, err)) == (0, expected)
+        assert walked == ([True] if int(bound) < 3 else [False])
+
     def test_corpus_commands(self, capsys, tmp_path):
         # the hexagon corpus has two distinct leaves over two cells
         for argv in (("graph",), ("encode",), ("synthesize", "--magnitude", "3")):
             _, _, err = run(capsys, *with_corpus(tmp_path, HEXAGON_CORPUS, (*argv, "--bound", "1")))
-            assert err.startswith("note: --bound 1 is below 2,") and err.count("\n") == 1
+            assert err == cut_note(1)
+
+
+class TestCompileOnce:
+    """Each command compiles its input once, and the note reads the same oracle."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("classify", "A[P]", "E[P]", "--bound", "1"), 0),
+        (("graph",), 0),
+        (("encode",), 0),
+        (("synthesize", "--bound", "1"), 1),  # the cut graph has no encoding
+    ])
+    def test_one_compile(self, capsys, monkeypatch, tmp_path, argv, expected):
+        calls = []
+
+        def spying(vocab, sentences):
+            calls.append(vocab)
+            return compile_(vocab, sentences)
+
+        compile_ = semantics._compile
+        monkeypatch.setattr(semantics, "_compile", spying)
+        if argv[0] != "classify":
+            argv = with_corpus(tmp_path, HEXAGON_CORPUS, argv)
+        code, out, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (expected, 1) and out
+
+
+class TestOneEntryCorpus:
+    """A graph needs two nodes; ``OppositionGraph`` alone says so."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (("graph",), 2, "error: an opposition graph needs at least two nodes\n"),
+        (("synthesize",), 2, "error: an opposition graph needs at least two nodes\n"),
+        (("encode",), 4, "error: corpus labels ['A'] are not a categorical square or hexagon\n"),
+    ])
+    def test_refused_on_one_line(self, capsys, tmp_path, argv, code, err):
+        assert run(capsys, *with_corpus(tmp_path, "A: A[P]", argv)) == (code, "", err)
 
 
 class TestInternalError:
     def test_escaped_exception_exits_70_on_one_line(self, capsys, monkeypatch):
-        def broken(a, b, bound):
+        def broken(corpus, bound):
             raise KeyError("a bug\nover two lines")
 
-        monkeypatch.setattr(cli, "classify", broken)
+        monkeypatch.setattr(cli, "pair_relations", broken)
         code, out, err = run(capsys, "classify", "A[P]", "O[P]")
         assert (code, out) == (70, "")
         assert err.startswith("internal error: KeyError(") and err.count("\n") == 1

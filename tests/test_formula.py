@@ -172,7 +172,7 @@ class TestVocabulary:
 
     @given(st.lists(sentence_strategy(("P", "Q", "R")), max_size=4))
     def test_same_order_as_the_frozen_rule(self, sentences):
-        # the rule parse_corpus and exact_bound each wrote out before
+        # the rule parse_corpus wrote out before
         predicates = []
         for s in sentences:
             predicates += [p for p in frozen_predicates(s) if p not in predicates]

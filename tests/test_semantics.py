@@ -38,7 +38,8 @@ from oppositions import (
 )
 from oppositions.formula import FORMS
 from oppositions import semantics
-from oppositions.semantics import _compile, _relation, exact_bound
+from oppositions.formula import sentence_predicates
+from oppositions.semantics import _compile, _relation, pair_relations
 from conftest import sentence_strategy
 
 VP = Vocabulary.of("P")
@@ -751,36 +752,47 @@ class TestBoundedClosure:
         assert classification_evidence(a, b) == walk_evidence(a, b, None, Vocabulary(names))
         assert walked == ([False] if k == 5 else [True])
 
-    def test_the_exact_bound_is_not_always_the_least(self):
-        # four leaves, so answers are exact from bound 4; but one element in
-        # P & ~Q and one in P & Q already make every leaf true, so a third
-        # element adds no vector
+    def test_the_least_exact_bound_can_be_below_the_leaves(self):
+        # four leaves, so min(2^k, leaves) is 4; but one element in P & ~Q and
+        # one in P & Q already make every leaf true, so a third element adds no
+        # vector, and only bound 1 cuts
         a = sent("(exists x. P(x)) & (exists x. Q(x)) & (exists x. P(x) & Q(x))")
         b = sent("exists x. P(x) & ~Q(x)")
-        assert exact_bound([a, b]) == 4
+        vocab = Vocabulary.of("P", "Q")
+        assert len(_compile(vocab, [a, b])[1]) == 4
+        pair = Corpus((("a", a), ("b", b)), vocab)
+        assert [pair_relations(pair, bound)[1] for bound in (1, 2, 3, 4)] == [True] + [False] * 3
         for bound in (2, 3, 4):
             assert classification_evidence(a, b, bound) == classification_evidence(a, b)
 
 
-class TestExactBound:
-    """At ``exact_bound`` every answer equals the unbounded one.  With more
-    distinct leaves than 2^k the bound is 2^k, which cuts the closure short;
-    the sentences' own predicates fix k, while the vocabulary may hold more."""
+PAIRS_UP_TO_FOUR = TestAgainstFrozenWalk.UP_TO_FOUR.flatmap(
+    lambda names: st.tuples(
+        st.just(Vocabulary(names)), sentence_strategy(names), sentence_strategy(names)
+    )
+)
+
+
+class TestCut:
+    """``cut`` says whether some leaf vector needs more elements than the bound,
+    so an answer without it is exact.  The sentences' own predicates fix k,
+    while the vocabulary may hold more."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        TestAgainstFrozenWalk.UP_TO_FOUR.flatmap(
-            lambda names: st.tuples(
-                st.just(Vocabulary(names)), sentence_strategy(names), sentence_strategy(names)
-            )
-        )
-    )
-    def test_pairs(self, drawn):
+    @given(PAIRS_UP_TO_FOUR, st.integers(1, 6))
+    def test_pairs(self, drawn, bound):
         vocab, a, b = drawn
-        bound = exact_bound([a, b])
-        assert classification_evidence(a, b, bound, vocab) == classification_evidence(
-            a, b, None, vocab
-        ), bound
+        pair = Corpus((("a", a), ("b", b)), vocab)
+        relations, cut = pair_relations(pair, bound)
+        bounded = semantics._Vectors(vocab, (a, b), bound)
+        unbounded = semantics._Vectors(vocab, (a, b), None)
+        assert bounded.cut is cut and not unbounded.cut
+        assert cut is (unbounded.all != bounded.all)
+        if not cut:
+            assert relations == pair_relations(pair)[0]
+            assert classification_evidence(a, b, bound, vocab) == classification_evidence(
+                a, b, None, vocab
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -789,13 +801,30 @@ class TestExactBound:
                 st.just(Vocabulary(names)),
                 st.lists(sentence_strategy(names), min_size=2, max_size=6),
             )
-        )
+        ),
+        st.integers(1, 6),
     )
-    def test_corpora(self, drawn):
+    def test_corpora(self, drawn, bound):
         vocab, sentences = drawn
         corpus = Corpus(tuple((f"s{i}", s) for i, s in enumerate(sentences)), vocab)
-        bound = exact_bound(sentences)
-        assert build_graph(corpus, bound) == build_graph(corpus), bound
+        relations, cut = pair_relations(corpus, bound)
+        unbounded = semantics._Vectors(vocab, sentences, None)
+        assert cut is (unbounded.all != semantics._Vectors(vocab, sentences, bound).all)
+        if not cut:
+            assert relations == pair_relations(corpus)[0]
+            assert build_graph(corpus, bound) == build_graph(corpus), bound
+
+    @settings(max_examples=80, deadline=None)
+    @given(PAIRS_UP_TO_FOUR, st.integers(0, 2))
+    def test_never_from_min_classes_and_leaves(self, drawn, extra):
+        # at most 2^k classes, or one element per true leaf, realize a vector
+        vocab, a, b = drawn
+        k, leaves = len(sentence_predicates(a, b)), len(_compile(vocab, (a, b))[1])
+        bound = min(1 << k, leaves) + extra
+        assert not pair_relations(Corpus((("a", a), ("b", b)), vocab), bound)[1], bound
+        assert classification_evidence(a, b, bound, vocab) == classification_evidence(
+            a, b, None, vocab
+        ), bound
 
 
 class TestDefaultBoundExact:
