@@ -50,10 +50,10 @@ _EXPORTS = {
     "classify": "semantics",
     "subaltern": "semantics",
     "OppositionGraph": "graph",
-    "from_structured": "document",
+    "from_structured": "reader",
     "graph_equal": "graph",
     "render_segment": "construction",
-    "to_dot": "graph",
+    "to_dot": "dot",
     "to_structured": "document",
     "AssignmentError": "segment",
     "ClauseSystem": "segment",

@@ -3,20 +3,21 @@
 Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
 ``synthesize`` every encoding of a corpus within a magnitude bound.
-This module parses arguments, classifies a pair and prints;
-``corpus_commands`` runs the other three, and ``segment`` decides a
-corpus's shape, its roles and the default clauses.  One table,
-``COMMANDS``, gives each command's positionals, flags and handler, and
-``parse_args``, ``-h`` and ``main`` read it.  The argument parser, the
-library and the input readers refuse with ``ValueError``, and ``main``
-alone maps a refusal to its exit code.
+This module parses arguments, classifies a pair and prints.  One table,
+``COMMANDS``, gives each command's positionals, flags and the module of
+its handler: this one, ``corpus_commands`` (``graph``), ``construction``
+(``encode``) or ``segment`` (``synthesize``); ``parse_args``, ``-h`` and
+``main`` read it.  The argument parser, the library and the input
+readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
+its exit code.
 
 Each subcommand imports only the modules it runs.  ``classify`` compiles
 this module, ``formula``, ``parser`` and ``semantics``; the corpus
 commands add ``corpus_commands`` and ``graph``, ``synthesize`` and
-``encode`` ``segment``, ``encode`` ``construction``, and structured output
-``document``.  No command imports ``json``, ``argparse`` (with ``gettext``
-and ``locale``) or ``dataclasses``: records derive from ``formula.Record``.
+``encode`` ``segment``, ``encode`` ``construction``, structured output
+``document`` and DOT output ``dot``.  No command imports ``reader``,
+``json``, ``argparse`` (with ``gettext`` and ``locale``) or
+``dataclasses``: records derive from ``formula.Record``.
 
 Exit codes: 0 success, or ``-h`` anywhere; 1 synthesis found nothing (a
 meaningful negative result); 2 an argument, parse or input error (a
@@ -53,6 +54,7 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Sequence
+from importlib import import_module
 from types import SimpleNamespace
 
 from .formula import A_LOW, UNIVERSAL_MAPS, Sentence
@@ -113,27 +115,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# command -> (help, positionals, flags, handler); a flag is (name, destination,
+# command -> (help, positionals, flags, module); a flag is (name, destination,
 # converter or tuple of choices, default), and is required if its default is
-# _REQUIRED; a corpus command's handler is None: corpus_commands defines it
-# under the command's name, and main imports that module only to run one
+# _REQUIRED; the module defines the command's handler as _cmd_<command>, and
+# main imports it only to run the command
 _REQUIRED = object()
 _BOUND = ("--bound", "bound", _positive_int, None)
 _CORPUS = ("--corpus", "corpus", str, _REQUIRED)
 _CLAUSES = ("--clauses", "clauses", ("square", "hexagon"), None)
 _FORMAT = ("--format", "format", ("structured", "dot", "text"), "text")
 COMMANDS = {
-    "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,),
-                 _cmd_classify),
-    "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT), None),
+    "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,), "cli"),
+    "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT),
+              "corpus_commands"),
     "encode": ("encode a categorical square or hexagon corpus on a segment", (), (
         _CORPUS, _CLAUSES, ("--q", "q", int, 1), ("--r", "r", int, 2),
         ("--map", "universal_map", UNIVERSAL_MAPS, A_LOW), _BOUND, _FORMAT,
-    ), None),
+    ), "construction"),
     "synthesize": ("search for segment encodings of a corpus graph", (), (
         _CORPUS, _CLAUSES, ("--magnitude", "magnitude", _positive_int, None), _BOUND,
         ("--format", "format", ("structured", "text"), "text"),
-    ), None),
+    ), "segment"),
 }
 _METAVARS = {str: "PATH|-", int: "INT", _positive_int: "N"}
 
@@ -194,11 +196,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, payload = EXIT_OK, usage(argv[0])
         else:
             args = parse_args(argv)
-            handler = COMMANDS[args.command][3]
-            if handler is None:
-                from . import corpus_commands
-                handler = getattr(corpus_commands, args.command)
-            code, payload = handler(args)
+            module = import_module(f".{COMMANDS[args.command][3]}", __package__)
+            code, payload = getattr(module, f"_cmd_{args.command}")(args)
     except ValueError as err:  # a refusal of the input, by the library or a reader
         # only encode and synthesize load segment, and only they can raise ShapeError
         shape_error = getattr(sys.modules.get(f"{__package__}.segment"), "ShapeError", ())

@@ -3,18 +3,20 @@
 ``make_square_assignment``, ``extend_hexagon`` and ``corpus_assignment``
 build an assignment, ``decode_graph`` and ``verify_against`` check it
 against the oracle by the rows of ``segment.CLAUSES``, and
-``render_segment`` draws its number line.  Only ``encode`` runs them.
+``render_segment`` draws its number line.  Only ``encode`` runs them, and
+its handler lives here, so no other command compiles this module.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from types import SimpleNamespace
 
 from .formula import A_LOW, REPRESENTATIONS, UNIVERSAL_MAPS, And, Or, Record, make_categorical
 from .graph import OppositionGraph, envelope
 from .parser import Corpus
 from .segment import _TRIPLE_ROLES, CLAUSES, AssignmentError, ClauseSystem, Fired, Role
-from .segment import SegmentAssignment, ShapeError, Triples, _check_shape, _fired
+from .segment import SegmentAssignment, ShapeError, Triples, _check_shape, _fired, clause_system
 from .semantics import Relation
 
 # The widest number line render_segment draws; each column costs about
@@ -210,3 +212,38 @@ def render_segment(assignment) -> str:
             labels[col + i] = ch
 
     return "".join(ticks) + "\n" + "".join(labels).rstrip()
+
+
+def _cmd_encode(args: SimpleNamespace) -> tuple[int, str]:
+    """``encode``'s handler, which ``cli.main`` runs; its CLI imports are local,
+    so that the library loads no CLI code."""
+    from .cli import EXIT_MISMATCH, EXIT_OK
+    from .corpus_commands import _corpus_graph, _read_corpus
+
+    corpus = _read_corpus(args.corpus)
+    assignment = corpus_assignment(corpus, args.q, args.r, args.universal_map)
+    clauses = clause_system(assignment.roles, args.clauses)
+    semantic = _corpus_graph(corpus, args.bound)
+    report = verify_against(assignment, clauses, semantic)
+    code = EXIT_OK if report.matches else EXIT_MISMATCH
+
+    if args.format == "structured":
+        from .document import dumps
+        return code, dumps(envelope(
+            "encoding_report",
+            clauses=clauses.value,
+            assignment=assignment.to_document(),
+            verification=report.to_document(),
+        ))
+    if args.format == "dot":
+        from .dot import to_dot
+        return code, to_dot(decode_graph(assignment, clauses))
+    lines = ["assignment:"]
+    for label in assignment.labels:
+        lines.append(f"  {label} = {assignment.values[label]} ({assignment.roles[label].value})")
+    lines += ["", render_segment(assignment), ""]
+    verdict = f"{len(report.mismatches)} mismatches" if report.mismatches else "matches"
+    lines.append(f"verification: {verdict}")
+    lines += [f"  {m.a} {m.b} decoded {m.decoded.text()}, semantic {m.semantic.text()}"
+              for m in report.mismatches]
+    return code, "\n".join(lines)

@@ -1,12 +1,14 @@
-"""Opposition-graph data model, comparison, and the DOT emitter.
+"""Opposition-graph data model and comparison.
 
 An opposition graph is a complete relation-labelled graph: every
 unordered pair of distinct nodes carries exactly one relation, held in
 one tuple in ``combinations(nodes, 2)`` order.  ``envelope`` starts every
 structured document, whose canonical JSON (schema_version 1) ``document``
-writes and reads; ``construction`` draws segment assignments.  Names that
-moved to either are forwarded on first access, so that old imports keep
-working.  The relations, ``Relation`` and ``RelationKind``, are defined
+writes and ``reader`` reads; ``dot`` writes DOT, and ``construction``
+draws segment assignments.  Each loads only for the commands that run it,
+so ``graph --format structured`` compiles neither DOT nor the reader.
+Names that moved out are forwarded on first access, so that old imports
+keep working.  The relations, ``Relation`` and ``RelationKind``, are defined
 in ``semantics``, the oracle that produces them, so that ``classify``,
 which prints one relation and builds no graph, never loads this module.
 """
@@ -25,17 +27,6 @@ SCHEMA_VERSION = 1
 def envelope(kind: str, **fields: object) -> dict[str, object]:
     """A structured document: ``schema_version`` and ``kind``, then ``fields`` in order."""
     return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
-
-
-# DOT edge label and attributes: subalternation is the only arrowed relation.
-_DOT = {
-    RelationKind.CONTRADICTORY: ("d", ", style=dashed, dir=none"),
-    RelationKind.CONTRARY: ("c", ", style=solid, dir=none"),
-    RelationKind.SUBCONTRARY: ("sc", ", style=dotted, dir=none"),
-    RelationKind.SUBALTERN: ("s", ""),
-    RelationKind.EQUIVALENT: ("e", ", style=bold, dir=none"),
-    RelationKind.UNCONNECTED: ("u", ", color=gray, dir=none"),
-}
 
 
 class OppositionGraph:
@@ -93,31 +84,11 @@ def graph_equal(g1: OppositionGraph, g2: OppositionGraph) -> bool:
     return all(relation == g2.relation(a, b) for a, b, relation in g1.pairs())
 
 
-def to_dot(g: OppositionGraph) -> str:
-    """Render the graph as DOT, one edge per unordered pair; a ``"`` in a
-    label is written ``\\"``, the one escape of a DOT quoted ID.  A label
-    that ends in ``\\`` would escape its closing quote, so it raises
-    ValueError."""
-    for node in g.nodes:
-        if node.endswith("\\"):
-            raise ValueError(f"DOT cannot quote the label {node}: it ends in a backslash")
-    quoted = {node: '"' + node.replace('"', '\\"') + '"' for node in g.nodes}
-    lines = ["digraph oppositions {"]
-    for node in g.nodes:
-        lines.append(f"  {quoted[node]};")
-    for a, b, relation in g.pairs():
-        if relation.kind is RelationKind.SUBALTERN:
-            a, b = relation.source, relation.target
-        label, attributes = _DOT[relation.kind]
-        lines.append(f'  {quoted[a]} -> {quoted[b]} [label="{label}"{attributes}];')
-    lines.append("}")
-    return "\n".join(lines)
-
-
 # each name that moved out, with the module that now defines it
 _MOVED = {
+    "to_dot": "dot",
     "to_structured": "document",
-    "from_structured": "document",
+    "from_structured": "reader",
     "render_segment": "construction",
     "MAX_SEGMENT_COLUMNS": "construction",
 }

@@ -17,10 +17,11 @@ same-signed pairs before the square's subalternation row.  Decoding
 takes the first relation fired, so every pair receives exactly one;
 decoding, clause listing and synthesis share that one row scan.
 
-This module holds what ``encode`` and ``synthesize`` share, and the
-search.  The construction, decoding and verification live in
-``construction``, which only ``encode`` loads; the names that moved there
-are forwarded on first access, so that old imports keep working.
+This module holds what ``encode`` and ``synthesize`` share, the search,
+and ``synthesize``'s handler.  The construction, decoding and
+verification live in ``construction``, which only ``encode`` loads; the
+names that moved there are forwarded on first access, so that old imports
+keep working.  ``graph`` compiles neither module.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from collections.abc import Callable, Iterator, Mapping
 from enum import Enum
 from itertools import combinations, permutations
 from math import comb
+from types import SimpleNamespace
 
 from .formula import FORALL, And, Not, Or, Quantified, Record, Sentence
 from .graph import OppositionGraph, envelope
@@ -305,6 +307,33 @@ def synthesize(
             SegmentAssignment(labels, place(magnitudes, p, q), dict(roles)) for p, q in types
         )
     return found
+
+
+def _cmd_synthesize(args: SimpleNamespace) -> tuple[int, str]:
+    """``synthesize``'s handler, which ``cli.main`` runs; its CLI imports are
+    local, so that the library loads no CLI code."""
+    from .cli import EXIT_NO_RESULTS, EXIT_OK
+    from .corpus_commands import _corpus_graph, _read_corpus
+
+    corpus = _read_corpus(args.corpus)
+    roles = corpus_roles(corpus)
+    target = _corpus_graph(corpus, args.bound)
+    clauses = clause_system(roles, args.clauses)
+    magnitude = args.magnitude if args.magnitude is not None else len(corpus.labels)
+    results = synthesize(target, clauses, magnitude, roles)
+    code = EXIT_OK if results else EXIT_NO_RESULTS
+
+    if args.format == "structured":
+        from .document import dumps
+        return code, dumps(envelope(
+            "synthesis_result",
+            clauses=clauses.value,
+            magnitude_bound=magnitude,
+            count=len(results),
+            assignments=[e.to_document() for e in results],
+        ))
+    lines = [" ".join(f"{label}={e.values[label]}" for label in e.labels) for e in results]
+    return code, "\n".join([*lines, f"found {len(results)}"])
 
 
 def infer_role(s: Sentence) -> Role | None:

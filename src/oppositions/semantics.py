@@ -265,7 +265,10 @@ def _relation(flags: tuple[bool, bool, bool, bool], names: tuple[str, str]) -> R
 def pair_relations(corpus: Corpus,
                    max_size: int | None = None) -> tuple[tuple[Relation, ...], bool]:
     """Each pair's relation, in ``combinations(corpus.entries, 2)`` order, from one compile,
-    and whether the bound cut, so that an answer may not be exact."""
+    and whether the bound cut, so that an answer may not be exact; with no pair, nothing is
+    compiled, and a graph refuses the empty tuple for having fewer than two nodes."""
+    if len(corpus.entries) < 2:
+        return (), False
     vectors = _Vectors(corpus.vocabulary, (s for _, s in corpus.entries), max_size)
     truths = [(label, vectors.truth(s)) for label, s in corpus.entries]
     return tuple(

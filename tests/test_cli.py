@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,19 @@ class TestOneEntryCorpus:
     ])
     def test_refused_on_one_line(self, capsys, tmp_path, argv, code, err):
         assert run(capsys, *with_corpus(tmp_path, "A: A[P]", argv)) == (code, "", err)
+
+    def test_refused_before_the_oracle_compiles(self, capsys, tmp_path):
+        # 20 one-cell leaves over 5 predicates realize more vectors than the
+        # oracle's limit, but a lone sentence has no pair to classify
+        def cell(c):
+            return " & ".join(f"{'' if c >> j & 1 else '~'}P{j}(x)" for j in range(5))
+
+        corpus = "s: " + " & ".join(f"(exists x. ({cell(c)}))" for c in range(20))
+        argv = with_corpus(tmp_path, corpus, ("graph",))
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert result == (2, "", "error: an opposition graph needs at least two nodes\n")
 
 
 class TestInternalError:
@@ -698,6 +712,10 @@ GRAPH_MODULES = CORPUS_MODULES | {"oppositions.graph"}
 SEARCH_MODULES = GRAPH_MODULES | {"oppositions.segment"}
 ENCODE_MODULES = SEARCH_MODULES | {"oppositions.construction"}
 WRITER = {"oppositions.document"}
+# only --format dot loads the DOT emitter, and no command loads the reader:
+# each test compares whole sets, so no set here names oppositions.reader, and
+# graph --format structured loads no construction, segment or DOT emitter
+DOT = {"oppositions.dot"}
 
 
 # Records are __slots__ classes, so only field introspection imports
@@ -736,7 +754,7 @@ class TestImportContract:
         [
             (None, ("classify", "A[P]", "O[P]"), 0, ORACLE_MODULES),
             (SQUARE_CORPUS, ("graph", "--format", "text"), 0, GRAPH_MODULES),
-            (SQUARE_CORPUS, ("graph", "--format", "dot"), 0, GRAPH_MODULES),
+            (SQUARE_CORPUS, ("graph", "--format", "dot"), 0, GRAPH_MODULES | DOT),
             (SQUARE_CORPUS, ("graph", "--format", "structured"), 0, GRAPH_MODULES),
             (None, ("classify", "A[P", "O[P]"), 2, ORACLE_MODULES),
             (None, ("classify", "A[P]", "O[Q]"), 3, ORACLE_MODULES),
@@ -750,7 +768,7 @@ class TestImportContract:
                 2,
                 ORACLE_MODULES,
             ),
-            ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2, GRAPH_MODULES),
+            ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2, GRAPH_MODULES | DOT),
             (None, ("classify", "-h"), 0, ORACLE_MODULES),
             (SQUARE_CORPUS, ("graph", "--format", "svg"), 2, ORACLE_MODULES),
         ],
@@ -779,11 +797,23 @@ class TestImportContract:
         assert package_modules(loaded) == ENCODE_MODULES | WRITER
         assert not NEVER_LOADED & loaded
 
-    @pytest.mark.parametrize("form", ["text", "dot"])
-    def test_encode_loads_the_construction_in_every_format(self, tmp_path, form):
+    @pytest.mark.parametrize("form,extra", [("text", set()), ("dot", DOT)])
+    def test_encode_loads_the_construction_in_every_format(self, tmp_path, form, extra):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", form))
-        assert package_modules(loaded) == ENCODE_MODULES
+        assert package_modules(loaded) == ENCODE_MODULES | extra
         assert not NEVER_LOADED & loaded
+
+    @pytest.mark.parametrize("module", ["segment", "construction"])
+    def test_the_library_loads_no_cli_code(self, module):
+        probe = f"import sys, oppositions.{module}\nprint(*sorted(sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+            env=child_env(), timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        loaded = set(done.stdout.split())
+        assert f"oppositions.{module}" in loaded
+        assert not {"oppositions.cli", "oppositions.corpus_commands"} & loaded
 
     def test_encode_shape_error_loads_segment(self, tmp_path):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--clauses", "hexagon"), 4)

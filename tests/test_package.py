@@ -53,11 +53,13 @@ class TestExports:
 
 
 # (old module, name, new module) for each name that bench/replay.py imports
-# from a module it has left, and for MAX_SEGMENT_COLUMNS
+# from a module it has left, for from_structured, and for MAX_SEGMENT_COLUMNS
 MOVED = [
     ("graph", "render_segment", "construction"),
     ("graph", "MAX_SEGMENT_COLUMNS", "construction"),
     ("graph", "to_structured", "document"),
+    ("graph", "to_dot", "dot"),
+    ("graph", "from_structured", "reader"),
     ("segment", "decode_graph", "construction"),
     ("segment", "extend_hexagon", "construction"),
     ("segment", "make_square_assignment", "construction"),
@@ -126,7 +128,7 @@ OLD_MODULES_ALONE = """\
 import sys
 import oppositions.segment
 import oppositions.graph
-new = {"oppositions.construction", "oppositions.document"}
+new = {"oppositions.construction", "oppositions.document", "oppositions.dot", "oppositions.reader"}
 assert not new & set(sys.modules), sorted(sys.modules)
 print("ok")
 """

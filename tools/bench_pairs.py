@@ -20,7 +20,7 @@ better than the parent in the same pair), next to the bound from
 ``BENCHMARK.json``; the seconds behind ``verdict_p50_x`` and each side's
 per-layer metrics the same way, as median, quartiles and runs; the
 seeds, each side's ``src/`` line count in all and per module, the lines
-that ``classify`` loads and those that each command in
+that ``classify`` loads and the lines and AST nodes that each command in
 ``WORKLOAD_COMMANDS`` loads, each side's in-process oracle seconds on
 seeded inputs no workload reaches, with the graph's bytes per pair on a
 large corpus (``oracle_s``), and the machine facts
@@ -32,6 +32,7 @@ compiles what it imports.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -73,27 +74,42 @@ def module_lines(tree: Path) -> dict[str, int]:
     return {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
 
 
+def nodes(path: Path) -> int:
+    """AST nodes of a module, as ``ast.walk`` yields them from the parsed
+    file: ``compile`` takes time in proportion to them, and docstrings and
+    comments add few or none."""
+    return sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
+
+
+def module_nodes(tree: Path) -> dict[str, int]:
+    """``nodes`` of each ``src/oppositions/*.py`` in an exported tree."""
+    package = tree / "src" / "oppositions"
+    return {path.name: nodes(path) for path in sorted(package.glob("*.py"))}
+
+
 SQUARE = "A: A[P]\nE: E[P]\nI: I[P]\nO: O[P]\n"
 HEXAGON = SQUARE + "U: U[P]\nY: Y[P]\n"
-# the command that each workload times, and the README's encode, which
-# cli-readme times among others, as (corpus text or None, arguments);
-# which modules a command loads does not depend on its inputs' size
+# the command that each workload times, the README's encode, which
+# cli-readme times among others, and graph's DOT output, as (corpus text or
+# None, arguments); which modules a command loads does not depend on its
+# inputs' size
 WORKLOAD_COMMANDS = {
     "classify-k3": (None, ("classify", "A[P]", "O[P]")),
     "graph-wide": (SQUARE, ("graph", "--format", "structured")),
+    "graph-dot": (SQUARE, ("graph", "--format", "dot")),
     "synth-hexagon": (HEXAGON, ("synthesize", "--clauses", "hexagon", "--magnitude", "16")),
     "readme-encode": (HEXAGON, ("encode", "--q", "1", "--r", "2")),
 }
 
 
-def command_path_lines(tree: Path, corpus: str | None, argv: tuple[str, ...]) -> int:
-    """Lines of the package modules that ``python -m oppositions`` loads in
-    an exported tree to run ``argv``, with ``--corpus`` holding ``corpus``
-    unless it is None; ``__main__.py`` is included, and each module is
-    counted as ``module_lines`` counts it.  ``-v`` names every module the
-    run executes; ``-X importtime`` misses one that ``importlib`` loads, as
-    the package's ``__getattr__`` loads ``segment`` for ``cli``'s ``from .
-    import segment``.  ``__main__`` runs without an import."""
+def command_path_files(tree: Path, corpus: str | None, argv: tuple[str, ...]) -> set[str]:
+    """The files of the package modules that ``python -m oppositions``
+    loads in an exported tree to run ``argv``, with ``--corpus`` holding
+    ``corpus`` unless it is None; ``__main__.py`` is included.  ``-v``
+    names every module the run executes; ``-X importtime`` misses one that
+    ``importlib`` loads, as the package's ``__getattr__`` loads ``segment``
+    for ``cli``'s ``from . import segment``.  ``__main__`` runs without an
+    import."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-corpus-") as tmp:
         if corpus is not None:
@@ -105,13 +121,24 @@ def command_path_lines(tree: Path, corpus: str | None, argv: tuple[str, ...]) ->
             check=True, capture_output=True, text=True, cwd=tree, env=env,
         )
     names = {line.split("'")[1] for line in done.stderr.splitlines() if line.startswith("import '")}
-    files = {"__main__.py"} | {
+    return {"__main__.py"} | {
         ("__init__" if name == "oppositions" else name.removeprefix("oppositions.")) + ".py"
         for name in names
         if name.split(".")[0] == "oppositions"
     }
+
+
+def command_path_lines(tree: Path, corpus: str | None, argv: tuple[str, ...]) -> int:
+    """Lines of the modules ``command_path_files`` names, each counted as
+    ``module_lines`` counts it."""
     lines = module_lines(tree)
-    return sum(lines[file] for file in files)
+    return sum(lines[file] for file in command_path_files(tree, corpus, argv))
+
+
+def command_path_nodes(tree: Path, corpus: str | None, argv: tuple[str, ...]) -> int:
+    """AST nodes of the modules ``command_path_files`` names, by ``nodes``."""
+    package = tree / "src" / "oppositions"
+    return sum(nodes(package / file) for file in command_path_files(tree, corpus, argv))
 
 
 def classify_path_lines(tree: Path) -> int:
@@ -310,11 +337,20 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), trees[side]) for side in SIDES}
         modules = {side: module_lines(trees[side]) for side in SIDES}
-        classify_path = {side: classify_path_lines(trees[side]) for side in SIDES}
-        command_path = {
-            side: {w: command_path_lines(trees[side], *c) for w, c in WORKLOAD_COMMANDS.items()}
+        command_files = {
+            side: {w: command_path_files(trees[side], *c) for w, c in WORKLOAD_COMMANDS.items()}
             for side in SIDES
         }
+        module_ast = {side: module_nodes(trees[side]) for side in SIDES}
+        command_path = {
+            side: {w: sum(modules[side][f] for f in files) for w, files in by_command.items()}
+            for side, by_command in command_files.items()
+        }
+        command_nodes = {
+            side: {w: sum(module_ast[side][f] for f in files) for w, files in by_command.items()}
+            for side, by_command in command_files.items()
+        }
+        classify_path = {side: command_path[side]["classify-k3"] for side in SIDES}
         oracle = {side: oracle_s(trees[side]) for side in SIDES}
         report = {
             "schema_version": 1,
@@ -357,6 +393,7 @@ def main(argv=None) -> int:
     report["module_lines"] = modules
     report["classify_path_lines"] = classify_path
     report["command_path_lines"] = command_path
+    report["command_path_nodes"] = command_nodes
     report["oracle_s"] = oracle
     report["machine"] = {k: facts["change"][k] for k in ("nproc", "cpus_usable", "python")}
     args.out.write_text(json.dumps(report, indent=2) + "\n")

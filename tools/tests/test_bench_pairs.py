@@ -82,6 +82,18 @@ class TestModuleLines:
         assert bench_pairs.module_lines(tmp_path) == {"cli.py": 2, "graph.py": 2}
 
 
+class TestModuleNodes:
+    def test_each_package_module_by_ast_nodes(self, tmp_path):
+        package = tmp_path / "src" / "oppositions"
+        package.mkdir(parents=True)
+        # a docstring is one Expr and one Constant, however long; a comment is none
+        (package / "graph.py").write_text('"""A docstring\n\nover lines."""\n# a comment\n')
+        (package / "cli.py").write_text("x = f(1)\n")  # Assign, Name, Store, Call, Name, Load, Constant
+        (package / "notes.txt").write_text("not a module\n")
+        assert bench_pairs.nodes(package / "cli.py") == 1 + 7
+        assert bench_pairs.module_nodes(tmp_path) == {"cli.py": 1 + 7, "graph.py": 1 + 2}
+
+
 class TestClassifyPathLines:
     def test_modules_the_classify_run_loads(self, tmp_path):
         package = tmp_path / "src" / "oppositions"
@@ -125,10 +137,20 @@ class TestCommandPathLines:
             for workload, command in bench_pairs.WORKLOAD_COMMANDS.items()
         }
         assert counted == {
-            "classify-k3": 6 + 3 + 10, "graph-wide": 19 + 10, "synth-hexagon": 129,
-            "readme-encode": 19 + 10 + 20,
+            "classify-k3": 6 + 3 + 10, "graph-wide": 19 + 10, "graph-dot": 19 + 10,
+            "synth-hexagon": 129, "readme-encode": 19 + 10 + 20,
         }
         assert bench_pairs.classify_path_lines(tmp_path) == counted["classify-k3"]
+        # the same modules by AST nodes: __init__ 17, __main__ 9, cli 76, and
+        # 4 per "x = 1" line (Assign, Name, Store, Constant) and 1 per Module
+        nodes = {
+            workload: bench_pairs.command_path_nodes(tmp_path, *command)
+            for workload, command in bench_pairs.WORKLOAD_COMMANDS.items()
+        }
+        assert nodes == {
+            "classify-k3": 17 + 9 + 76, "graph-wide": 102 + 41, "graph-dot": 102 + 41,
+            "synth-hexagon": 102 + 41 + 401, "readme-encode": 102 + 41 + 81,
+        }
 
 
 class TestOracleInputs:
