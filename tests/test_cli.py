@@ -797,7 +797,7 @@ class TestImportContract:
         assert package_modules(loaded) == ENCODE_MODULES | WRITER
         assert not NEVER_LOADED & loaded
 
-    @pytest.mark.parametrize("form,extra", [("text", set()), ("dot", DOT)])
+    @pytest.mark.parametrize("form,extra", [("text", set()), ("dot", DOT)], ids=["text", "dot"])
     def test_encode_loads_the_construction_in_every_format(self, tmp_path, form, extra):
         loaded = loaded_modules(tmp_path, SQUARE_CORPUS, ("encode", "--format", form))
         assert package_modules(loaded) == ENCODE_MODULES | extra

@@ -81,12 +81,6 @@ def nodes(path: Path) -> int:
     return sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
 
 
-def module_nodes(tree: Path) -> dict[str, int]:
-    """``nodes`` of each ``src/oppositions/*.py`` in an exported tree."""
-    package = tree / "src" / "oppositions"
-    return {path.name: nodes(path) for path in sorted(package.glob("*.py"))}
-
-
 SQUARE = "A: A[P]\nE: E[P]\nI: I[P]\nO: O[P]\n"
 HEXAGON = SQUARE + "U: U[P]\nY: Y[P]\n"
 # the command that each workload times, the README's encode, which
@@ -337,18 +331,13 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), trees[side]) for side in SIDES}
         modules = {side: module_lines(trees[side]) for side in SIDES}
-        command_files = {
-            side: {w: command_path_files(trees[side], *c) for w, c in WORKLOAD_COMMANDS.items()}
+        command_path = {
+            side: {w: command_path_lines(trees[side], *c) for w, c in WORKLOAD_COMMANDS.items()}
             for side in SIDES
         }
-        module_ast = {side: module_nodes(trees[side]) for side in SIDES}
-        command_path = {
-            side: {w: sum(modules[side][f] for f in files) for w, files in by_command.items()}
-            for side, by_command in command_files.items()
-        }
         command_nodes = {
-            side: {w: sum(module_ast[side][f] for f in files) for w, files in by_command.items()}
-            for side, by_command in command_files.items()
+            side: {w: command_path_nodes(trees[side], *c) for w, c in WORKLOAD_COMMANDS.items()}
+            for side in SIDES
         }
         classify_path = {side: command_path[side]["classify-k3"] for side in SIDES}
         oracle = {side: oracle_s(trees[side]) for side in SIDES}

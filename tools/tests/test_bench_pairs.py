@@ -82,16 +82,13 @@ class TestModuleLines:
         assert bench_pairs.module_lines(tmp_path) == {"cli.py": 2, "graph.py": 2}
 
 
-class TestModuleNodes:
-    def test_each_package_module_by_ast_nodes(self, tmp_path):
-        package = tmp_path / "src" / "oppositions"
-        package.mkdir(parents=True)
+class TestNodes:
+    def test_a_module_by_ast_nodes(self, tmp_path):
         # a docstring is one Expr and one Constant, however long; a comment is none
-        (package / "graph.py").write_text('"""A docstring\n\nover lines."""\n# a comment\n')
-        (package / "cli.py").write_text("x = f(1)\n")  # Assign, Name, Store, Call, Name, Load, Constant
-        (package / "notes.txt").write_text("not a module\n")
-        assert bench_pairs.nodes(package / "cli.py") == 1 + 7
-        assert bench_pairs.module_nodes(tmp_path) == {"cli.py": 1 + 7, "graph.py": 1 + 2}
+        (tmp_path / "graph.py").write_text('"""A docstring\n\nover lines."""\n# a comment\n')
+        (tmp_path / "cli.py").write_text("x = f(1)\n")  # Assign, Name, Store, Call, Name, Load, Constant
+        assert bench_pairs.nodes(tmp_path / "graph.py") == 1 + 2
+        assert bench_pairs.nodes(tmp_path / "cli.py") == 1 + 7
 
 
 class TestClassifyPathLines:
