@@ -41,14 +41,14 @@ _EXPORTS = {
     "CONTRARY": "semantics",
     "SUBCONTRARY": "semantics",
     "UNCONNECTED": "semantics",
-    "Evidence": "semantics",
     "Relation": "semantics",
     "RelationKind": "semantics",
     "VocabularyMismatchError": "semantics",
     "build_graph": "semantics",
-    "classification_evidence": "semantics",
-    "classify": "semantics",
     "subaltern": "semantics",
+    "Evidence": "pairs",
+    "classification_evidence": "pairs",
+    "classify": "pairs",
     "OppositionGraph": "graph",
     "from_structured": "reader",
     "graph_equal": "graph",

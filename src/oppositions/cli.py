@@ -3,21 +3,22 @@
 Subcommands: ``classify`` a pair of sentences, ``graph`` a corpus,
 ``encode`` a categorical corpus on an integer segment, and
 ``synthesize`` every encoding of a corpus within a magnitude bound.
-This module parses arguments, classifies a pair and prints.  One table,
-``COMMANDS``, gives each command's positionals, flags and the module of
-its handler: this one, ``corpus_commands`` (``graph``), ``construction``
-(``encode``) or ``segment`` (``synthesize``); ``parse_args``, ``-h`` and
-``main`` read it.  The argument parser, the library and the input
-readers refuse with ``ValueError``, and ``main`` alone maps a refusal to
-its exit code.
+This module parses arguments and prints.  One table, ``COMMANDS``, gives
+each command's positionals, flags and the module of its handler:
+``pairs`` (``classify``), ``corpus_commands`` (``graph``),
+``construction`` (``encode``) or ``segment`` (``synthesize``);
+``parse_args``, ``-h`` and ``main`` read it.  The argument parser, the
+library and the input readers refuse with ``ValueError``, and ``main``
+alone maps a refusal to its exit code.
 
-Each subcommand imports only the modules it runs.  ``classify`` compiles
-this module, ``formula``, ``parser`` and ``semantics``; the corpus
-commands add ``corpus_commands`` and ``graph``, ``synthesize`` and
+Each subcommand imports only the modules it runs.  This module imports
+only ``formula``, so ``-h`` and a refused argument compile no more; a
+command adds ``parser`` and ``semantics``, ``classify`` ``pairs``, the
+corpus commands ``corpus_commands`` and ``graph``, ``synthesize`` and
 ``encode`` ``segment``, ``encode`` ``construction``, structured output
 ``document`` and DOT output ``dot``.  No command imports ``reader``,
-``json``, ``argparse`` (with ``gettext`` and ``locale``) or
-``dataclasses``: records derive from ``formula.Record``.
+``json``, ``re``, ``argparse`` (with ``gettext`` and ``locale``),
+``__future__`` or ``dataclasses``: records derive from ``formula.Record``.
 
 Exit codes: 0 success, or ``-h`` anywhere; 1 synthesis found nothing (a
 meaningful negative result); 2 an argument, parse or input error (a
@@ -49,17 +50,13 @@ handlers, such as those a ``sitecustomize`` registers, do not run in a
 CLI process.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from collections.abc import Sequence
 from importlib import import_module
 from types import SimpleNamespace
 
-from .formula import A_LOW, UNIVERSAL_MAPS, Sentence
-from .parser import ParseError, parse_sentence
-from .semantics import VocabularyMismatchError, _pair, pair_relations
+from .formula import A_LOW, UNIVERSAL_MAPS
 
 EXIT_OK = 0
 EXIT_NO_RESULTS = 1
@@ -71,13 +68,6 @@ EXIT_INTERNAL = 70
 EXIT_IOERR = 74
 EXIT_BROKEN_PIPE = 141
 MAX_LINE = 1000  # bytes of a stderr line; a refusal can quote a whole operand
-
-
-def _parse_sentence_arg(text: str, position: str) -> Sentence:
-    try:
-        return parse_sentence(text)
-    except ParseError as err:
-        raise ValueError(f"sentence {position}: {err}") from None
 
 
 def _say(line: str, code: int) -> int:
@@ -102,13 +92,6 @@ def _note_if_cut_short(bound: int | None, cut: bool) -> None:
              "so the answer may not be exact", EXIT_OK)
 
 
-def _cmd_classify(args: SimpleNamespace) -> tuple[int, str]:
-    a, b = _parse_sentence_arg(args.a, "a"), _parse_sentence_arg(args.b, "b")
-    (relation,), cut = pair_relations(_pair(a, b), args.bound)
-    _note_if_cut_short(args.bound, cut)
-    return EXIT_OK, relation.text()
-
-
 def _positive_int(text: str) -> int:
     if (value := int(text)) < 1:
         raise ValueError(f"must be at least 1, got {value}")
@@ -125,7 +108,7 @@ _CORPUS = ("--corpus", "corpus", str, _REQUIRED)
 _CLAUSES = ("--clauses", "clauses", ("square", "hexagon"), None)
 _FORMAT = ("--format", "format", ("structured", "dot", "text"), "text")
 COMMANDS = {
-    "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,), "cli"),
+    "classify": ("classify the opposition between two sentences", ("a", "b"), (_BOUND,), "pairs"),
     "graph": ("build the opposition graph of a corpus", (), (_CORPUS, _BOUND, _FORMAT),
               "corpus_commands"),
     "encode": ("encode a categorical square or hexagon corpus on a segment", (), (
@@ -199,9 +182,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             module = import_module(f".{COMMANDS[args.command][3]}", __package__)
             code, payload = getattr(module, f"_cmd_{args.command}")(args)
     except ValueError as err:  # a refusal of the input, by the library or a reader
-        # only encode and synthesize load segment, and only they can raise ShapeError
-        shape_error = getattr(sys.modules.get(f"{__package__}.segment"), "ShapeError", ())
-        code = EXIT_VOCAB if isinstance(err, VocabularyMismatchError) else EXIT_PARSE
+        # main imports neither class: a command can raise one only once it has loaded its
+        # module, semantics for any command past its arguments, segment for encode and synthesize
+        loaded = sys.modules.get
+        vocab_error = getattr(loaded(f"{__package__}.semantics"), "VocabularyMismatchError", ())
+        shape_error = getattr(loaded(f"{__package__}.segment"), "ShapeError", ())
+        code = EXIT_VOCAB if isinstance(err, vocab_error) else EXIT_PARSE
         return _say(f"error: {err}", EXIT_SHAPE if isinstance(err, shape_error) else code)
     except Exception as err:  # the last resort: a bug, never a traceback
         return _say(f"internal error: {err!r}", EXIT_INTERNAL)
@@ -244,6 +230,6 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    # under python -m oppositions.cli, so that corpus_commands imports this copy
+    # under python -m oppositions.cli, so that the handlers import this copy
     sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     run()

@@ -7,8 +7,6 @@ against the oracle by the rows of ``segment.CLAUSES``, and
 its handler lives here, so no other command compiles this module.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from types import SimpleNamespace
 

@@ -9,8 +9,6 @@ handler returns its exit code and payload for ``main`` to write; the
 exit codes and the cut-short note are ``cli``'s.
 """
 
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 

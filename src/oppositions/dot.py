@@ -1,7 +1,5 @@
 """The DOT emitter, which only ``--format dot`` loads."""
 
-from __future__ import annotations
-
 from .graph import OppositionGraph
 from .semantics import RelationKind
 

@@ -9,8 +9,6 @@ quantifier outside one; quantifiers never nest, since the disjunctive
 and conjunctive corners of the hexagon only need top-level connectives.
 """
 
-from __future__ import annotations
-
 FORALL = "forall"
 EXISTS = "exists"
 QUANTIFIERS = (FORALL, EXISTS)

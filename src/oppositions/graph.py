@@ -13,8 +13,6 @@ in ``semantics``, the oracle that produces them, so that ``classify``,
 which prints one relation and builds no graph, never loads this module.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 from importlib import import_module
 from itertools import combinations

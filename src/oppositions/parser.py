@@ -22,11 +22,10 @@ a sugar tag counts the connectives of its expansion.
 Corpus files are line oriented: one ``label: sentence`` entry per line,
 ``#`` starts a comment, blank lines are skipped.  A label is printable
 and has no whitespace.
+
+The tokenizer reads each character once with ``str`` operations, so no
+command imports ``re`` or compiles a pattern.
 """
-
-from __future__ import annotations
-
-import re
 
 from .formula import (
     BINARY_CONNECTIVES,
@@ -78,24 +77,31 @@ class Corpus(Record):
         return len(self.entries)
 
 
-_TOKEN_RE = re.compile(r"->|[()\[\].~&|]|[A-Za-z_][A-Za-z0-9_]*")
+_SYMBOLS = frozenset("()[].~&|")  # each a token, as is "->"
+_IDENT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_0123456789")
 
 
 def _tokenize(text: str, line: int, col_offset: int) -> list[tuple[str, int, int]]:
-    """Tokens as ``(text, line, col)``, with a 1-based line and column."""
+    """Tokens as ``(text, line, col)``, with a 1-based line and column: ``->``,
+    a symbol, or an identifier of ASCII letters, digits and ``_`` that does not
+    start with a digit; whitespace separates them."""
     tokens = []
     for lineno, raw in enumerate(text.split("\n"), start=line):
         offset = col_offset if lineno == line else 0
         pos = 0
         while pos < len(raw):
-            if raw[pos].isspace():
+            start, ch = pos, raw[pos]
+            pos += 1
+            if ch in _IDENT and not ch.isdigit():
+                while raw[pos : pos + 1] in _IDENT:  # "" past the end
+                    pos += 1
+            elif raw.startswith("->", start):
                 pos += 1
+            elif ch.isspace():
                 continue
-            m = _TOKEN_RE.match(raw, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {raw[pos]!r}", lineno, offset + pos + 1)
-            tokens.append((m.group(), lineno, offset + pos + 1))
-            pos = m.end()
+            elif ch not in _SYMBOLS:
+                raise ParseError(f"unexpected character {ch!r}", lineno, offset + start + 1)
+            tokens.append((raw[start:pos], lineno, offset + start + 1))
     return tokens
 
 

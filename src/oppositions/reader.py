@@ -4,8 +4,6 @@ Only callers of ``from_structured`` load this module, so no command
 imports ``json``.
 """
 
-from __future__ import annotations
-
 import json
 from itertools import combinations
 

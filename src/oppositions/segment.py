@@ -24,8 +24,6 @@ names that moved there are forwarded on first access, so that old imports
 keep working.  ``graph`` compiles neither module.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
 from enum import Enum

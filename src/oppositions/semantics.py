@@ -13,17 +13,19 @@ on two masks.  Domains are nonempty throughout.
 
 The relation types live here, with the oracle that produces them, and
 ``graph`` imports them; so ``classify`` compiles no graph code, and only
-``build_graph`` imports ``graph``, when it builds one.
+``build_graph`` imports ``graph``, when it builds one.  The two-sentence
+API, ``classify`` and ``classification_evidence``, lives in ``pairs``,
+which only ``classify`` loads, so the corpus commands compile none of it;
+its names are forwarded from here on first access, so that old imports
+keep working.
 """
-
-from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from itertools import combinations
 
 from .formula import FORALL, Atom, Sentence, And, Implies, Not, Or, Quantified, Record
-from .formula import Vocabulary, sentence_predicates
+from .formula import Vocabulary
 from .parser import Corpus
 
 # The most vector-cell pairs decided; k <= 4 never reaches it (a vector is fixed by
@@ -206,45 +208,6 @@ class _Vectors:
         return ta & tb != 0, ta | tb != self.all, ta & ~tb == 0, tb & ~ta == 0
 
 
-class Evidence(Record):
-    """A pair's four truth-combination flags over every leaf vector realized within the bound."""
-
-    __slots__ = ("both_true", "both_false", "first_entails_second", "second_entails_first")
-    both_true: bool
-    both_false: bool
-    first_entails_second: bool
-    second_entails_first: bool
-
-    def __iter__(self) -> Iterator[bool]:
-        return iter(self._values())  # so ``_relation`` reads it as ``_Vectors.flags``' tuple
-
-
-def _pair(a: Sentence, b: Sentence, vocab: Vocabulary | None = None,
-          names: tuple[str, str] = ("a", "b")) -> Corpus:
-    """``a`` and ``b`` as a corpus over ``vocab``, or over their predicates if they share them."""
-    preds_a, preds_b = sentence_predicates(a), sentence_predicates(b)
-    if vocab is not None:
-        missing = [p for p in preds_a + preds_b if p not in vocab]
-        if missing:
-            raise VocabularyMismatchError(f"predicates {sorted(set(missing))} not in the "
-                                          "given vocabulary")
-    elif set(preds_a) != set(preds_b):
-        raise VocabularyMismatchError("vocabulary mismatch: sentences use different predicates "
-                                      f"({sorted(set(preds_a))} vs {sorted(set(preds_b))})")
-    return Corpus(((names[0], a), (names[1], b)), Vocabulary(preds_a) if vocab is None else vocab)
-
-
-def classification_evidence(
-    a: Sentence,
-    b: Sentence,
-    max_size: int | None = None,
-    vocab: Vocabulary | None = None,
-) -> Evidence:
-    """The four classification flags over every model up to the bound."""
-    vectors = _Vectors(_pair(a, b, vocab).vocabulary, (a, b), max_size)
-    return Evidence(*vectors.flags(vectors.truth(a), vectors.truth(b)))
-
-
 def _relation(flags: tuple[bool, bool, bool, bool], names: tuple[str, str]) -> Relation:
     both_true, both_false, first_entails_second, second_entails_first = flags
     if first_entails_second and second_entails_first:
@@ -276,27 +239,19 @@ def pair_relations(corpus: Corpus,
     ), vectors.cut
 
 
-def classify(
-    a: Sentence,
-    b: Sentence,
-    max_size: int | None = None,
-    vocab: Vocabulary | None = None,
-    names: tuple[str, str] = ("a", "b"),
-) -> Relation:
-    """Classify the opposition between two sentences.
-
-    Equivalence is checked first: a pair of logical truths (or of
-    falsehoods) satisfies the subcontrariety (resp. contrariety) evidence
-    as well, and equivalence wins.  Subalternation requires genuine
-    one-directional entailment between logically independent sentences,
-    so equivalent sentences are never subalterns of each other.  Sentences
-    over different predicates raise VocabularyMismatchError unless ``vocab``
-    holds the predicates of both.
-    """
-    return pair_relations(_pair(a, b, vocab, names), max_size)[0][0]
-
-
-def build_graph(corpus: Corpus, max_size: int | None = None) -> OppositionGraph:
+def build_graph(corpus: Corpus, max_size: int | None = None) -> "OppositionGraph":
     """Classify every unordered pair of corpus sentences, compiled once."""
     from .graph import OppositionGraph
     return OppositionGraph(corpus.labels, pair_relations(corpus, max_size)[0])
+
+
+# the two-sentence API, which moved to ``pairs``
+_MOVED = frozenset({"_pair", "Evidence", "classification_evidence", "classify"})
+
+
+def __getattr__(name: str):
+    """A moved name, from ``pairs``, loaded on first access (PEP 562)."""
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import pairs
+    return getattr(pairs, name)

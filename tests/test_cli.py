@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oppositions
-from oppositions import cli, print_sentence, semantics
+from oppositions import cli, pairs, print_sentence, semantics
 from oppositions.cli import main
 from oppositions.formula import A_LOW, UNIVERSAL_MAPS
 from conftest import HEXAGON_CORPUS, SQUARE_CORPUS, sentence_strategy
@@ -212,7 +212,7 @@ class TestInternalError:
         def broken(corpus, bound):
             raise KeyError("a bug\nover two lines")
 
-        monkeypatch.setattr(cli, "pair_relations", broken)
+        monkeypatch.setattr(pairs, "pair_relations", broken)
         code, out, err = run(capsys, "classify", "A[P]", "O[P]")
         assert (code, out) == (70, "")
         assert err.startswith("internal error: KeyError(") and err.count("\n") == 1
@@ -696,14 +696,13 @@ print(*sorted(set(sys.modules) - bare), file=sys.stderr)
 sys.exit(code)
 """
 
-# classify prints one relation, which semantics defines, and builds no graph
-ORACLE_MODULES = {
-    "oppositions",
-    "oppositions.cli",
-    "oppositions.formula",
-    "oppositions.parser",
-    "oppositions.semantics",
-}
+# a refused argument or -h runs no command, so it loads no handler
+ARGUMENT_MODULES = {"oppositions", "oppositions.cli", "oppositions.formula"}
+# every command reads sentences and runs the oracle, which defines the relations
+ORACLE_MODULES = ARGUMENT_MODULES | {"oppositions.parser", "oppositions.semantics"}
+# classify prints one relation and builds no graph; its handler and the
+# two-sentence API live apart, so the corpus commands compile none of them
+CLASSIFY_MODULES = ORACLE_MODULES | {"oppositions.pairs"}
 # the corpus commands' handlers live apart, so classify compiles none of them
 CORPUS_MODULES = ORACLE_MODULES | {"oppositions.corpus_commands"}
 GRAPH_MODULES = CORPUS_MODULES | {"oppositions.graph"}
@@ -720,9 +719,14 @@ DOT = {"oppositions.dot"}
 
 # Records are __slots__ classes, so only field introspection imports
 # dataclasses, which pulls in inspect, ast and dis; the command table
-# replaced argparse, which pulls in gettext and locale; and annotations
-# name collections.abc, not typing, which costs more than a bare start.
-NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
+# replaced argparse, which pulls in gettext and locale; annotations name
+# collections.abc, not typing, which costs more than a bare start; the
+# tokenizer scans with str methods, not re, which the probe's -S keeps site
+# from loading; and annotations are evaluated where they are defined, so no
+# module imports __future__.
+NEVER_LOADED = {
+    "dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "re", "__future__",
+}
 
 
 def loaded_modules(tmp_path, corpus, argv, code=0):
@@ -752,12 +756,12 @@ class TestImportContract:
     @pytest.mark.parametrize(
         "corpus,argv,code,modules",
         [
-            (None, ("classify", "A[P]", "O[P]"), 0, ORACLE_MODULES),
+            (None, ("classify", "A[P]", "O[P]"), 0, CLASSIFY_MODULES),
             (SQUARE_CORPUS, ("graph", "--format", "text"), 0, GRAPH_MODULES),
             (SQUARE_CORPUS, ("graph", "--format", "dot"), 0, GRAPH_MODULES | DOT),
             (SQUARE_CORPUS, ("graph", "--format", "structured"), 0, GRAPH_MODULES),
-            (None, ("classify", "A[P", "O[P]"), 2, ORACLE_MODULES),
-            (None, ("classify", "A[P]", "O[Q]"), 3, ORACLE_MODULES),
+            (None, ("classify", "A[P", "O[P]"), 2, CLASSIFY_MODULES),
+            (None, ("classify", "A[P]", "O[Q]"), 3, CLASSIFY_MODULES),
             (
                 None,
                 (
@@ -766,11 +770,11 @@ class TestImportContract:
                     "exists x. " + " & ".join(TWENTY_FIVE),
                 ),
                 2,
-                ORACLE_MODULES,
+                CLASSIFY_MODULES,
             ),
             ("a\\: A[P]\nb: O[P]", ("graph", "--format", "dot"), 2, GRAPH_MODULES | DOT),
-            (None, ("classify", "-h"), 0, ORACLE_MODULES),
-            (SQUARE_CORPUS, ("graph", "--format", "svg"), 2, ORACLE_MODULES),
+            (None, ("classify", "-h"), 0, ARGUMENT_MODULES),
+            (SQUARE_CORPUS, ("graph", "--format", "svg"), 2, ARGUMENT_MODULES),
         ],
         ids=[
             "classify",
@@ -803,7 +807,7 @@ class TestImportContract:
         assert package_modules(loaded) == ENCODE_MODULES | extra
         assert not NEVER_LOADED & loaded
 
-    @pytest.mark.parametrize("module", ["segment", "construction"])
+    @pytest.mark.parametrize("module", ["segment", "construction", "pairs"])
     def test_the_library_loads_no_cli_code(self, module):
         probe = f"import sys, oppositions.{module}\nprint(*sorted(sys.modules))"
         done = subprocess.run(

@@ -53,8 +53,13 @@ class TestExports:
 
 
 # (old module, name, new module) for each name that bench/replay.py imports
-# from a module it has left, for from_structured, and for MAX_SEGMENT_COLUMNS
+# from a module it has left, for from_structured, for MAX_SEGMENT_COLUMNS,
+# and for the two-sentence API, which semantics forwards to pairs
 MOVED = [
+    ("semantics", "_pair", "pairs"),
+    ("semantics", "Evidence", "pairs"),
+    ("semantics", "classification_evidence", "pairs"),
+    ("semantics", "classify", "pairs"),
     ("graph", "render_segment", "construction"),
     ("graph", "MAX_SEGMENT_COLUMNS", "construction"),
     ("graph", "to_structured", "document"),
@@ -76,7 +81,7 @@ class TestMovedNames:
             assert oppositions._EXPORTS[name] == new
             assert getattr(oppositions, name) is moved
 
-    @pytest.mark.parametrize("module", ["graph", "segment"])
+    @pytest.mark.parametrize("module", ["graph", "segment", "semantics"])
     def test_unknown_name_raises_attribute_error_naming_the_module(self, module):
         old = importlib.import_module(f"oppositions.{module}")
         message = f"module 'oppositions.{module}' has no attribute 'no_such_name'"
@@ -123,12 +128,16 @@ assert "oppositions.graph" in sys.modules
 print("ok")
 """
 
-# segment and graph forward a moved name only when it is asked for
+# segment, graph and semantics forward a moved name only when it is asked for
 OLD_MODULES_ALONE = """\
 import sys
 import oppositions.segment
 import oppositions.graph
-new = {"oppositions.construction", "oppositions.document", "oppositions.dot", "oppositions.reader"}
+import oppositions.semantics
+new = {
+    "oppositions.construction", "oppositions.document", "oppositions.dot", "oppositions.pairs",
+    "oppositions.reader",
+}
 assert not new & set(sys.modules), sorted(sys.modules)
 print("ok")
 """

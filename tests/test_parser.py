@@ -1,5 +1,10 @@
+import re
+import string
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppositions import (
     EXISTS,
@@ -17,7 +22,7 @@ from oppositions import (
     print_sentence,
     sentence_predicates,
 )
-from oppositions.parser import MAX_DEPTH
+from oppositions.parser import MAX_DEPTH, _tokenize
 from conftest import sentence_strategy
 
 P = Atom("P")
@@ -269,3 +274,54 @@ class TestRoundTrip:
     def test_print_of_parse_reparses_identically(self, text):
         tree = parse_sentence(text)
         assert parse_sentence(print_sentence(tree)) == tree
+
+
+# --- the regular-expression tokenizer that _tokenize replaced, frozen as the reference ---
+
+FROZEN_TOKEN_RE = re.compile(r"->|[()\[\].~&|]|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def frozen_tokenize(text, line, col_offset):
+    tokens = []
+    for lineno, raw in enumerate(text.split("\n"), start=line):
+        offset = col_offset if lineno == line else 0
+        pos = 0
+        while pos < len(raw):
+            if raw[pos].isspace():
+                pos += 1
+                continue
+            m = FROZEN_TOKEN_RE.match(raw, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {raw[pos]!r}", lineno, offset + pos + 1)
+            tokens.append((m.group(), lineno, offset + pos + 1))
+            pos = m.end()
+    return tokens
+
+
+def tokens_or_error(tokenize, text, line, col_offset):
+    try:
+        return tokenize(text, line, col_offset)
+    except ParseError as err:
+        return err.message, err.line, err.col
+
+
+# the token characters, the two of "->", whitespace, and three that no token
+# holds: a non-ASCII letter, a non-ASCII space and a non-ASCII digit
+TOKEN_TEXT = st.text(
+    alphabet=string.ascii_letters + string.digits + "_()[].~&|->" + " \t\n" + "é\u00a0\u0663"
+)
+
+
+class TestAgainstFrozenTokenizer:
+    @settings(max_examples=500)
+    @given(TOKEN_TEXT, st.integers(1, 3), st.integers(0, 3))
+    def test_same_tokens_or_error(self, text, line, col_offset):
+        expected = tokens_or_error(frozen_tokenize, text, line, col_offset)
+        assert tokens_or_error(_tokenize, text, line, col_offset) == expected
+
+    @pytest.mark.parametrize("text,count", [("P" * 200_000, 1), ("P(x) " * 40_000, 160_000)],
+                             ids=["one-identifier", "many-tokens"])
+    def test_time_is_linear_in_the_input(self, text, count):
+        start = time.perf_counter()
+        assert len(_tokenize(text, 1, 0)) == count
+        assert time.perf_counter() - start < 1
