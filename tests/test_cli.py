@@ -291,7 +291,7 @@ class TestGraph:
         assert done.stdout == (GOLDEN / "graph-square-text.out").read_bytes()
 
     def test_corpus_graph_annotation_resolves(self):
-        # the postponed annotation names a class the module imports
+        # the annotation names a class the module imports
         import typing
         from oppositions import corpus_commands
         from oppositions.graph import OppositionGraph
